@@ -17,9 +17,8 @@
 //!             [--requests N] [--interval-us U]
 //! ```
 //!
-//! Writes `results_csv/serve_latency.csv` (both transports) and keeps
-//! the historical `results_csv/service_latency.csv` (in-process rows,
-//! original columns) when run from the repo root.
+//! Writes `results_csv/serve_latency.csv` (both transports) when run
+//! from the repo root.
 
 use csaw_bench::report::Table;
 use csaw_core::AlgoSpec;
@@ -246,21 +245,6 @@ fn main() {
             "p99_ms",
         ],
     );
-    let mut legacy = Table::new(
-        "service latency under open-loop load (batch-window sweep)",
-        &[
-            "window_us",
-            "requests",
-            "completed",
-            "shed",
-            "batches",
-            "mean_batch_inst",
-            "throughput_rps",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-        ],
-    );
 
     let mut rows: Vec<Row> = Vec::new();
     for &window_us in windows_us {
@@ -282,20 +266,6 @@ fn main() {
             format!("{:.3}", r.p95_ms),
             format!("{:.3}", r.p99_ms),
         ]);
-        if r.transport == "inproc" {
-            legacy.row(vec![
-                r.window_us.to_string(),
-                r.requests.to_string(),
-                r.completed.to_string(),
-                r.shed.to_string(),
-                r.batches.to_string(),
-                format!("{:.1}", r.mean_batch_inst),
-                format!("{:.0}", r.throughput_rps),
-                format!("{:.3}", r.p50_ms),
-                format!("{:.3}", r.p95_ms),
-                format!("{:.3}", r.p99_ms),
-            ]);
-        }
     }
 
     table.print();
@@ -348,11 +318,6 @@ fn main() {
     } else if out.is_dir() {
         let path = out.join("serve_latency.csv");
         std::fs::write(&path, table.to_csv()).expect("write CSV");
-        eprintln!("# wrote {}", path.display());
-    }
-    if out.is_dir() {
-        let path = out.join("service_latency.csv");
-        std::fs::write(&path, legacy.to_csv()).expect("write CSV");
         eprintln!("# wrote {}", path.display());
     }
 }

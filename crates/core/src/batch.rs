@@ -442,11 +442,7 @@ mod tests {
             "prefetch coverage must conserve"
         );
         assert_eq!(total.batch_group_hist.iter().sum::<u64>(), total.batch_groups);
-        total.batch_groups = 0;
-        total.batch_group_entries = 0;
-        total.batch_group_hist = [0; 8];
-        total.batch_prefetch_hits = 0;
-        total.batch_prefetch_misses = 0;
+        total = total.without_batch();
         total.sampled_edges = reference.stats.sampled_edges;
         assert_eq!(total, reference.stats);
     }

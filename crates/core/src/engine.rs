@@ -948,18 +948,6 @@ mod tests {
         assert_eq!(sliced.stats, solo.stats);
     }
 
-    /// Zeroes the depth-sync-only observability counters so a depth-sync
-    /// stat set can be compared against instance-major execution (which
-    /// never forms vertex groups).
-    fn scrub_batch_counters(mut s: SimStats) -> SimStats {
-        s.batch_groups = 0;
-        s.batch_group_entries = 0;
-        s.batch_group_hist = [0; 8];
-        s.batch_prefetch_hits = 0;
-        s.batch_prefetch_misses = 0;
-        s
-    }
-
     #[test]
     fn depth_sync_matches_instance_major_at_any_chunk_size() {
         let g = toy_graph();
@@ -986,7 +974,7 @@ mod tests {
                         "{name}: chunk={chunk} prefetch={prefetch}"
                     );
                     assert_eq!(
-                        scrub_batch_counters(out.stats),
+                        out.stats.without_batch(),
                         reference.stats,
                         "{name}: chunk={chunk} prefetch={prefetch}"
                     );
@@ -1016,7 +1004,7 @@ mod tests {
                 };
                 let out = Sampler::new(&g, &algo).with_options(opts).run(&sets);
                 assert_eq!(out.instances, reference.instances, "{id:?} chunk={chunk}");
-                assert_eq!(scrub_batch_counters(out.stats), reference.stats, "{id:?}");
+                assert_eq!(out.stats.without_batch(), reference.stats, "{id:?}");
             }
         }
     }

@@ -252,7 +252,7 @@ mod tests {
         assert_eq!(tail.stats.sampled_edges, 1);
         assert_eq!(tail.stats.warp_cycles, 40);
         // The slices partition the whole: counters add back up.
-        assert_eq!(head.stats.merged(tail.stats).sampled_edges, s.stats.sampled_edges);
+        assert_eq!((head.stats + tail.stats).sampled_edges, s.stats.sampled_edges);
     }
 
     #[test]

@@ -63,16 +63,11 @@ use csaw_gpu::stats::SimStats;
 use csaw_graph::store::{DecodedPartition, DiskStore};
 use csaw_graph::{GraphView, PagedAdjacency, VertexId, Weight};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Upper bounds (inclusive, microseconds) of the decode-time histogram
-/// buckets; the last bucket is open-ended.
-pub const DECODE_BUCKETS_US: [u64; 7] = [50, 100, 250, 500, 1000, 5000, 25000];
-
-/// Number of decode-histogram buckets (bounds plus the open-ended one).
-pub const NUM_DECODE_BUCKETS: usize = DECODE_BUCKETS_US.len() + 1;
+pub use csaw_gpu::counters::DECODE_BUCKETS_US;
 
 /// Misses a non-resident partition must accumulate before its full
 /// decode is admitted to the pool; colder misses are served by the
@@ -85,34 +80,20 @@ pub const ADMIT_TOUCHES: u8 = 8;
 /// pool budget: at most this many recently decoded runs).
 const SCRATCH_RING: usize = 8;
 
-/// Shared (cross-worker) disk-tier observability: lock-free totals the
-/// service publishes as gauges. Worker pools add their deltas here; the
-/// deterministic per-run counters travel through [`SimStats`] instead.
-#[derive(Debug, Default)]
-pub struct DiskTierStats {
-    /// Pool lookups across all workers.
-    pub lookups: AtomicU64,
-    /// Lookups served by a resident decoded partition.
-    pub hits: AtomicU64,
-    /// Lookups that decoded a partition.
-    pub misses: AtomicU64,
-    /// Partitions evicted by the clock sweep.
-    pub evictions: AtomicU64,
-    /// Bytes currently held by decoded partitions across all pools
-    /// (gauge; includes graveyard bytes awaiting reclaim).
-    pub pool_bytes: AtomicU64,
-    /// Simulated 4 KiB page faults charged for streaming mapped segments.
-    pub mmap_faults: AtomicU64,
-    /// RAM bytes produced by decodes.
-    pub decode_bytes: AtomicU64,
-    /// Decode wall-time histogram: bucket `i` counts decodes that took
-    /// ≤ `DECODE_BUCKETS_US[i]` µs (last bucket: longer than all).
-    pub decode_hist: [AtomicU64; NUM_DECODE_BUCKETS],
-    /// Sum of decode wall times, microseconds.
-    pub decode_sum_us: AtomicU64,
-    /// Number of decodes timed into the histogram.
-    pub decode_count: AtomicU64,
+macro_rules! disk_tier_stats {
+    (sim $_s:tt launch $_l:tt batch $_b:tt service $_v:tt cache $_c:tt
+     disk { $($disk:tt)* } serve $_e:tt identities $_i:tt) => {
+        csaw_gpu::counter_gen!(source (
+            /// Shared (cross-worker) disk-tier observability: lock-free totals
+            /// the service publishes as gauges (the `disk` group of the counter
+            /// table). Worker pools add their deltas here; the deterministic
+            /// per-run counters travel through [`SimStats`] instead.
+            #[derive(Debug, Default)]
+            pub struct DiskTierStats {}
+        ) { $($disk)* });
+    };
 }
+csaw_gpu::counter_table!(disk_tier_stats);
 
 impl DiskTierStats {
     /// Records one timed decode.

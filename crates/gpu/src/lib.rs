@@ -31,6 +31,7 @@
 pub mod alloc_count;
 pub mod config;
 pub mod cost;
+pub mod counters;
 pub mod device;
 pub mod lockstep;
 pub mod memory;

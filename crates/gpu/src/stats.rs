@@ -13,137 +13,33 @@ use serde::{Deserialize, Serialize};
 /// looking implausibly free on the simulated device.
 pub const GATHER_LATENCY_CYCLES: u64 = 64;
 
-/// Additive counters accumulated while simulating kernels.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq, Eq)]
-pub struct SimStats {
-    /// Simulated warp compute cycles (lockstep steps weighted by cost).
-    pub warp_cycles: u64,
-    /// Kogge-Stone scan lockstep steps.
-    pub scan_steps: u64,
-    /// Binary-search probe steps over the CTPS.
-    pub search_steps: u64,
-    /// Trips of the SELECT do-while loop (Fig. 5 lines 10–14). The paper's
-    /// Fig. 11 metric is `select_iterations / selections`.
-    pub select_iterations: u64,
-    /// Vertices successfully selected.
-    pub selections: u64,
-    /// Collision-detection probes: bitmap bit tests or linear-search
-    /// comparisons, depending on the detector (Fig. 12's numerator and
-    /// denominator).
-    pub collision_searches: u64,
-    /// Atomic operations issued (CAS/add on bitmap words).
-    pub atomic_ops: u64,
-    /// Atomic operations serialized behind another lane's access to the
-    /// same word within one lockstep round.
-    pub atomic_conflicts: u64,
-    /// Random numbers drawn.
-    pub rng_draws: u64,
-    /// Bytes read from simulated global memory (neighbor lists, CTPS).
-    pub gmem_bytes: u64,
-    /// Coalesced 128-byte global memory transactions.
-    pub gmem_transactions: u64,
-    /// Edges appended to the sample output.
-    pub sampled_edges: u64,
-    /// Frontier queue pushes/pops.
-    pub frontier_ops: u64,
-    /// Static-bias expansions served from a hot-vertex CTPS cache hit
-    /// (the CTPS bounds were reused instead of rebuilt).
-    pub ctps_cache_hits: u64,
-    /// Static-bias expansions that missed the CTPS cache and rebuilt.
-    pub ctps_cache_misses: u64,
-    /// Expansions served by inverse transform sampling under the adaptive
-    /// method chooser (counted only when the chooser ran: the `ForceIts`
-    /// policy leaves all four `method_*` counters at zero).
-    pub method_its: u64,
-    /// Adaptive expansions served by a cached (or freshly built) alias
-    /// table.
-    pub method_alias: u64,
-    /// Adaptive expansions served by bounded rejection (dartboard) trials.
-    pub method_rejection: u64,
-    /// Adaptive expansions served by the closed-form uniform path.
-    pub method_uniform: u64,
-    /// Total rejection throws across `method_rejection` expansions
-    /// (accepted + rejected); trials / accepts is the live skew signal the
-    /// chooser feeds back on.
-    pub rejection_trials: u64,
-    /// Decoded-RAM pool lookups by the disk tier (one per adjacency read
-    /// through a `DiskAccess`; zero unless a run is disk-backed).
-    pub disk_pool_lookups: u64,
-    /// Disk-tier lookups served by an already-decoded resident partition.
-    pub disk_pool_hits: u64,
-    /// Disk-tier lookups that decoded a partition out of its mapped
-    /// segment (`disk_pool_lookups == disk_pool_hits + disk_pool_misses`).
-    pub disk_pool_misses: u64,
-    /// Decoded partitions evicted from the pool by the clock sweep.
-    pub disk_pool_evictions: u64,
-    /// RAM bytes produced by disk-tier decodes (each miss decodes one
-    /// whole partition).
-    pub disk_decode_bytes: u64,
-    /// Simulated 4 KiB page faults charged for streaming mapped segments
-    /// during decodes.
-    pub disk_mmap_faults: u64,
-    /// Vertex-groups formed by the depth-synchronous frontier (one group
-    /// per distinct current vertex per depth per chunk; zero under
-    /// instance-major execution).
-    pub batch_groups: u64,
-    /// Frontier entries that passed through vertex-grouped expansion
-    /// (`batch_group_entries / batch_groups` is the mean co-location
-    /// factor — the number of walkers that shared one gather).
-    pub batch_group_entries: u64,
-    /// Log2-bucketed histogram of vertex-group sizes: bucket `i` counts
-    /// groups with `2^i <= size < 2^(i+1)`; the last bucket absorbs the
-    /// tail (`size >= 128`).
-    pub batch_group_hist: [u64; 8],
-    /// Vertex-groups whose CSR row was software-prefetched far enough
-    /// ahead to be resident when the group expanded (coverage model: every
-    /// group beyond the prefetch distance in its depth counts as a hit).
-    pub batch_prefetch_hits: u64,
-    /// Vertex-groups expanded before the prefetch pipeline warmed up (the
-    /// first `prefetch_distance` groups of each depth).
-    pub batch_prefetch_misses: u64,
+macro_rules! sim_stats {
+    (sim { $($sim:tt)* } launch { $($launch:tt)* } batch { $($batch:tt)* } $($_rest:tt)*) => {
+        crate::counter_gen!(plain (
+            /// Additive counters accumulated while simulating kernels (rows of
+            /// the `sim`, `launch` and `batch` groups of the counter table).
+            #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq, Eq)]
+            pub struct SimStats {}
+        ) { $($sim)* $($launch)* $($batch)* });
+        crate::counter_gen!(merge (SimStats) { $($sim)* $($launch)* $($batch)* });
+
+        impl SimStats {
+            /// This stat set with the `batch` group zeroed: the depth-sync-only
+            /// counters, the only ones allowed to differ between execution
+            /// orders.
+            pub fn without_batch(mut self) -> SimStats {
+                crate::counter_gen!(reset (self) { $($batch)* });
+                self
+            }
+        }
+    };
 }
+crate::counter_table!(sim_stats);
 
 impl SimStats {
     /// A zeroed counter set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds `other` into `self` field-wise.
-    pub fn merge(&mut self, other: &SimStats) {
-        self.warp_cycles += other.warp_cycles;
-        self.scan_steps += other.scan_steps;
-        self.search_steps += other.search_steps;
-        self.select_iterations += other.select_iterations;
-        self.selections += other.selections;
-        self.collision_searches += other.collision_searches;
-        self.atomic_ops += other.atomic_ops;
-        self.atomic_conflicts += other.atomic_conflicts;
-        self.rng_draws += other.rng_draws;
-        self.gmem_bytes += other.gmem_bytes;
-        self.gmem_transactions += other.gmem_transactions;
-        self.sampled_edges += other.sampled_edges;
-        self.frontier_ops += other.frontier_ops;
-        self.ctps_cache_hits += other.ctps_cache_hits;
-        self.ctps_cache_misses += other.ctps_cache_misses;
-        self.method_its += other.method_its;
-        self.method_alias += other.method_alias;
-        self.method_rejection += other.method_rejection;
-        self.method_uniform += other.method_uniform;
-        self.rejection_trials += other.rejection_trials;
-        self.disk_pool_lookups += other.disk_pool_lookups;
-        self.disk_pool_hits += other.disk_pool_hits;
-        self.disk_pool_misses += other.disk_pool_misses;
-        self.disk_pool_evictions += other.disk_pool_evictions;
-        self.disk_decode_bytes += other.disk_decode_bytes;
-        self.disk_mmap_faults += other.disk_mmap_faults;
-        self.batch_groups += other.batch_groups;
-        self.batch_group_entries += other.batch_group_entries;
-        for (dst, src) in self.batch_group_hist.iter_mut().zip(other.batch_group_hist.iter()) {
-            *dst += *src;
-        }
-        self.batch_prefetch_hits += other.batch_prefetch_hits;
-        self.batch_prefetch_misses += other.batch_prefetch_misses;
     }
 
     /// Records one vertex-group of `size` co-located frontier entries in
@@ -153,12 +49,6 @@ impl SimStats {
         self.batch_group_entries += size as u64;
         let bucket = (usize::BITS - 1 - size.max(1).leading_zeros()).min(7) as usize;
         self.batch_group_hist[bucket] += 1;
-    }
-
-    /// Merge that consumes the right-hand side (for fold/reduce).
-    pub fn merged(mut self, other: SimStats) -> Self {
-        self.merge(&other);
-        self
     }
 
     /// Average SELECT iterations per successful selection — the Fig. 11
@@ -192,19 +82,6 @@ impl SimStats {
         self.gmem_bytes += bytes as u64;
         self.gmem_transactions += bytes.div_ceil(128) as u64;
         self.warp_cycles += GATHER_LATENCY_CYCLES;
-    }
-}
-
-impl std::ops::Add for SimStats {
-    type Output = SimStats;
-    fn add(self, rhs: SimStats) -> SimStats {
-        self.merged(rhs)
-    }
-}
-
-impl std::iter::Sum for SimStats {
-    fn sum<I: Iterator<Item = SimStats>>(iter: I) -> SimStats {
-        iter.fold(SimStats::new(), SimStats::merged)
     }
 }
 
@@ -267,6 +144,14 @@ mod tests {
         t.merge(&s);
         assert_eq!(t.batch_group_hist, [1, 2, 1, 0, 0, 0, 1, 2]);
         assert_eq!(t.batch_groups, 7);
+    }
+
+    #[test]
+    fn without_batch_zeroes_only_the_batch_group() {
+        let mut s = SimStats { selections: 3, batch_prefetch_hits: 1, ..Default::default() };
+        s.record_batch_group(5);
+        let scrubbed = s.without_batch();
+        assert_eq!(scrubbed, SimStats { selections: 3, ..Default::default() });
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! ([`ErrorCode::TenantQuota`]) from "the whole service is saturated"
 //! ([`ErrorCode::QueueFull`]).
 
-use crate::metrics::{render, ServeMetrics};
+use crate::metrics::{render, ServeCounters, ServeMetrics};
 use crate::notify::Notifier;
 use crate::tenant::{AdmitError, FairScheduler, SchedulerConfig};
 use crate::wire::{
@@ -37,7 +37,7 @@ use csaw_service::{
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -76,8 +76,7 @@ struct ServerShared {
     scheduler: FairScheduler<DispatchJob>,
     notifier: Notifier,
     shutdown: AtomicBool,
-    connections: AtomicU64,
-    bad_frames: AtomicU64,
+    counters: ServeCounters,
     max_frame_len: u32,
 }
 
@@ -87,11 +86,10 @@ impl ServerShared {
         let sheds = self.service.tenant_sheds();
         let tenants = self.scheduler.snapshot();
         let serve = ServeMetrics {
-            connections: self.connections.load(Relaxed),
-            bad_frames: self.bad_frames.load(Relaxed),
             events_published: self.notifier.published(),
             events_dropped: self.notifier.dropped(),
             subscribers: self.notifier.subscriber_count(),
+            ..self.counters.snapshot()
         };
         render(&snap, &sheds, &tenants, &serve)
     }
@@ -137,8 +135,7 @@ impl CsawServer {
             scheduler: FairScheduler::new(config.scheduler.clone()),
             notifier: Notifier::new(),
             shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            bad_frames: AtomicU64::new(0),
+            counters: ServeCounters::default(),
             max_frame_len: config.max_frame_len,
         });
         let conn_handles = Arc::new(Mutex::new(Vec::new()));
@@ -253,12 +250,14 @@ fn accept_loop(
         if shared.shutdown.load(Relaxed) {
             return;
         }
-        shared.connections.fetch_add(1, Relaxed);
+        shared.counters.connections.fetch_add(1, Relaxed);
         let shared = Arc::clone(shared);
         let handle = thread::Builder::new()
             .name("csaw-serve-conn".into())
             .spawn(move || {
-                let _ = serve_connection(stream, &shared);
+                if serve_connection(stream, &shared).is_err() {
+                    shared.counters.connection_errors.fetch_add(1, Relaxed);
+                }
             })
             .expect("spawn connection thread");
         handles.lock().expect("conn handles").push(handle);
@@ -409,7 +408,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) -> std::i
             tenant
         }
         Ok(ReadOutcome::Frame(_)) => {
-            shared.bad_frames.fetch_add(1, Relaxed);
+            shared.counters.bad_frames.fetch_add(1, Relaxed);
             let _ = send_error(
                 &mut stream,
                 0,
@@ -420,12 +419,13 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) -> std::i
             return Ok(());
         }
         Ok(ReadOutcome::Closed) => return Ok(()),
-        Err(e) => {
-            shared.bad_frames.fetch_add(1, Relaxed);
+        Err(RecvError::Io(e)) => return Err(e),
+        Err(RecvError::Wire(e)) => {
+            shared.counters.bad_frames.fetch_add(1, Relaxed);
             let _ = send_error(
                 &mut stream,
                 0,
-                ErrorCode::VersionMismatch,
+                ErrorCode::BadFrame,
                 None,
                 format!("handshake failed: {e}"),
             );
@@ -439,7 +439,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) -> std::i
             Ok(ReadOutcome::Closed) => return Ok(()),
             Err(RecvError::Io(e)) => return Err(e),
             Err(RecvError::Wire(e)) => {
-                shared.bad_frames.fetch_add(1, Relaxed);
+                shared.counters.bad_frames.fetch_add(1, Relaxed);
                 let _ = send_error(
                     &mut stream,
                     0,
@@ -478,7 +478,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) -> std::i
             Frame::Subscribe { id: _ } => return pump_events(&mut stream, shared),
             Frame::Goodbye => return Ok(()),
             other => {
-                shared.bad_frames.fetch_add(1, Relaxed);
+                shared.counters.bad_frames.fetch_add(1, Relaxed);
                 send_error(
                     &mut stream,
                     0,

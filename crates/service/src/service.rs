@@ -663,7 +663,7 @@ fn process_batch(
         // has observed its response must also observe the cache-gauge
         // deltas its batch caused (tests read `stats()` right after
         // `wait()` returns).
-        publish_cache_totals(stats, caches);
+        stats.record_cache(&caches.values().map(|c| c.snapshot()).collect::<Vec<_>>());
         if let Some(tier) = shared.config.disk.as_ref().and_then(|d| d.shared.as_deref()) {
             stats.record_disk(tier);
         }
@@ -676,11 +676,9 @@ fn process_batch(
                 }
             }
             Ok(out) => {
-                ServiceStats::add(&stats.sampled_edges, out.stats.sampled_edges);
                 ServiceStats::add(&stats.transfers, out.transfers);
                 ServiceStats::add(&stats.bytes_transferred, out.bytes_transferred);
-                stats.record_methods(&out.stats);
-                stats.record_batch_exec(&out.stats);
+                stats.record_launch(&out.stats);
                 let counts: Vec<usize> = seg.iter().map(|q| q.seed_sets.len()).collect();
                 let parts = out.sample.split_by_counts(&counts);
                 let completed_at = Instant::now();
@@ -708,27 +706,6 @@ fn process_batch(
             }
         }
     }
-}
-
-/// Publish worker-lifetime cache totals (the caches outlive batches, so
-/// these are gauges: each publish replaces the last).
-fn publish_cache_totals(stats: &ServiceStats, caches: &HashMap<AlgoIdentity, Arc<CtpsCache>>) {
-    let mut totals = csaw_core::ctps_cache::CacheSnapshot::default();
-    for c in caches.values() {
-        let s = c.snapshot();
-        totals.lookups += s.lookups;
-        totals.hits += s.hits;
-        totals.misses += s.misses;
-        totals.promotions += s.promotions;
-        totals.evictions += s.evictions;
-        totals.evictions_clock += s.evictions_clock;
-        totals.evictions_stale += s.evictions_stale;
-        totals.evictions_replaced += s.evictions_replaced;
-        totals.bytes += s.bytes;
-        totals.alias_hits += s.alias_hits;
-        totals.alias_promotions += s.alias_promotions;
-    }
-    stats.record_cache(&totals);
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -1,179 +1,89 @@
 //! Service observability: lock-free counters with a coherent snapshot.
 //!
-//! The counters encode the service's accounting contract. At any idle
-//! point (queue drained, no batch in flight):
-//!
-//! ```text
-//! submitted == accepted + rejected_invalid + rejected_queue_full + rejected_shutdown
-//! accepted  == completed + expired + failed
-//! mutations_submitted == mutations + mutations_rejected
-//! compact_requests    == compactions + compact_noops
-//! ```
-//!
-//! [`StatsSnapshot::fully_accounted`] checks exactly that; the test
-//! suite asserts it after every drain. Sampling, mutation, and compact
-//! requests are all conservation-checked — a front end that relays the
-//! ledger (the `/metrics` endpoint) can prove no request of any kind
-//! was silently dropped.
+//! [`ServiceStats`] and its plain copy [`StatsSnapshot`] are generated
+//! from the `service`, `launch`, `batch`, `cache` and `disk` groups of the
+//! counter table (`csaw_gpu::counter_table!`). The table's `identities`
+//! group is the service's accounting contract: at any idle point (queue
+//! drained, no batch in flight) every identity in [`IDENTITIES`] holds,
+//! and [`StatsSnapshot::fully_accounted`] checks exactly that list; the
+//! test suite asserts it after every drain. Sampling, mutation, and
+//! compact requests are all conservation-checked — a front end that
+//! relays the ledger (the `/metrics` endpoint) can prove no request of
+//! any kind was silently dropped.
 //!
 //! Queue-full sheds are additionally split per tenant
 //! ([`ServiceStats::tenant_sheds`]): the global `rejected_queue_full`
 //! is always the sum of the per-tenant counters (untagged requests
 //! charge the empty label).
 
+use csaw_core::ctps_cache::CacheSnapshot;
+use csaw_core::residency::DiskTierStats;
+use csaw_gpu::counters::Identity;
+use csaw_gpu::stats::SimStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
-/// Upper bounds (inclusive) of the batch-size histogram buckets,
-/// measured in sampling instances per coalesced launch. The last
-/// bucket is open-ended.
-pub const BATCH_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
+pub use csaw_gpu::counters::BATCH_BUCKETS;
 
-/// Number of histogram buckets (the [`BATCH_BUCKETS`] bounds plus the
-/// open-ended `> 64` bucket).
-pub const NUM_BUCKETS: usize = BATCH_BUCKETS.len() + 1;
+macro_rules! ledger {
+    (sim $_s:tt launch { $($launch:tt)* } batch { $($batch:tt)* } service { $($own:tt)* }
+     cache { $($cache:tt)* } disk { $($disk:tt)* } serve $_e:tt identities $ids:tt) => {
+        csaw_gpu::counter_gen!(atomic (
+            /// Monotonic counters updated by the admission path and the batcher
+            /// (`cache` and `disk` rows are gauges the batcher republishes after
+            /// every launch).
+            #[derive(Debug, Default)]
+            pub struct ServiceStats {
+                /// Queue-full sheds split by tenant label (untagged requests charge
+                /// the empty label). Off the hot path: touched only when a request
+                /// is actually shed.
+                tenant_sheds: Mutex<HashMap<String, u64>>,
+            }
+        ) { $($own)* $($launch)* $($batch)* $($cache)* $($disk)* });
+        csaw_gpu::counter_gen!(plain (
+            /// Plain-value copy of [`ServiceStats`].
+            #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+            pub struct StatsSnapshot {}
+        ) { $($own)* $($launch)* $($batch)* $($cache)* $($disk)* });
 
-/// Monotonic counters updated by the admission path and the batcher.
-#[derive(Debug, Default)]
-pub struct ServiceStats {
-    /// Requests ever handed to `submit`.
-    pub submitted: AtomicU64,
-    /// Requests that passed validation and entered the queue.
-    pub accepted: AtomicU64,
-    /// Requests rejected as malformed.
-    pub rejected_invalid: AtomicU64,
-    /// Requests shed because the queue was full.
-    pub rejected_queue_full: AtomicU64,
-    /// Requests refused because the service was shutting down.
-    pub rejected_shutdown: AtomicU64,
-    /// Accepted requests whose deadline passed before delivery.
-    pub expired: AtomicU64,
-    /// Accepted requests answered with a response.
-    pub completed: AtomicU64,
-    /// Accepted requests whose batch panicked.
-    pub failed: AtomicU64,
-    /// Coalesced launches executed.
-    pub batches: AtomicU64,
-    /// Current queue depth (gauge, not monotonic).
-    pub queue_depth: AtomicU64,
-    /// Edges sampled across all launches (batch totals).
-    pub sampled_edges: AtomicU64,
-    /// Host→device partition transfers across all launches (only the
-    /// out-of-memory executor reports these).
-    pub transfers: AtomicU64,
-    /// Bytes shipped host→device across all launches.
-    pub bytes_transferred: AtomicU64,
-    /// Batch-size histogram: bucket `i` counts launches whose instance
-    /// count is ≤ `BATCH_BUCKETS[i]` (last bucket: larger than all).
-    pub batch_hist: [AtomicU64; NUM_BUCKETS],
-    /// CTPS-cache lookups across the worker's per-algorithm caches
-    /// (worker-lifetime totals, refreshed after every batch).
-    pub cache_lookups: AtomicU64,
-    /// CTPS-cache lookups served from a cached entry.
-    pub cache_hits: AtomicU64,
-    /// CTPS-cache lookups that found nothing.
-    pub cache_misses: AtomicU64,
-    /// CTPS tables promoted into the caches.
-    pub cache_promotions: AtomicU64,
-    /// CTPS tables evicted from the caches.
-    pub cache_evictions: AtomicU64,
-    /// Evictions by clock-sweep capacity pressure (gauge, subset of
-    /// `cache_evictions`).
-    pub cache_evictions_clock: AtomicU64,
-    /// Entries dropped because their epoch tag went stale — residency
-    /// swaps and graph mutations both land here (gauge, subset of
-    /// `cache_evictions`). This is the "epoch-invalidated entries"
-    /// gauge for mutable-graph serving.
-    pub cache_evictions_stale: AtomicU64,
-    /// Entries replaced by a same-vertex promotion under a newer tag
-    /// (gauge, subset of `cache_evictions`).
-    pub cache_evictions_replaced: AtomicU64,
-    /// Bytes currently held by the caches (gauge).
-    pub cache_bytes: AtomicU64,
-    /// Cache lookups served from a cached *alias table* (gauge, subset
-    /// of `cache_hits`; nonzero only under the adaptive method policy).
-    pub cache_alias_hits: AtomicU64,
-    /// Alias tables promoted into the caches (gauge, subset of
-    /// `cache_promotions`).
-    pub cache_alias_promotions: AtomicU64,
-    /// Expansions served by ITS when the method chooser ran (batch
-    /// totals; all four `method_*` counters stay zero under `ForceIts`).
-    pub method_its: AtomicU64,
-    /// Expansions served from a cached or freshly built alias table.
-    pub method_alias: AtomicU64,
-    /// Expansions served by bounded rejection sampling.
-    pub method_rejection: AtomicU64,
-    /// Expansions served by the closed-form uniform path.
-    pub method_uniform: AtomicU64,
-    /// Total rejection throws across rejection-served expansions.
-    pub rejection_trials: AtomicU64,
-    /// Vertex-groups formed by depth-synchronous launches (batch totals;
-    /// zero while the service executes instance-major).
-    pub batch_groups: AtomicU64,
-    /// Frontier entries that passed through vertex-grouped expansion
-    /// (`batch_group_entries / batch_groups` is the mean co-location
-    /// factor across all launches).
-    pub batch_group_entries: AtomicU64,
-    /// Log2-bucketed vertex-group size histogram (bucket `i`: groups of
-    /// `2^i..2^(i+1)` entries, last bucket open-ended) — the per-depth
-    /// frontier-occupancy shape, accumulated across launches.
-    pub batch_group_hist: [AtomicU64; 8],
-    /// Vertex-groups whose CSR row was prefetched far enough ahead to be
-    /// resident at expansion (batch totals).
-    pub batch_prefetch_hits: AtomicU64,
-    /// Vertex-groups expanded before the prefetch pipeline warmed up
-    /// (`batch_prefetch_hits + batch_prefetch_misses == batch_groups`).
-    pub batch_prefetch_misses: AtomicU64,
-    /// Mutation requests ever handed to `mutate` (accepted or not).
-    pub mutations_submitted: AtomicU64,
-    /// Successful `mutate` calls applied to the service's graph.
-    pub mutations: AtomicU64,
-    /// Mutation requests rejected with a typed [`csaw_graph::EditError`]
-    /// (the batch was rolled back; the graph is unchanged).
-    pub mutations_rejected: AtomicU64,
-    /// `compact` calls ever made.
-    pub compact_requests: AtomicU64,
-    /// `compact` calls that folded a non-empty overlay.
-    pub compactions: AtomicU64,
-    /// `compact` calls that found nothing to fold.
-    pub compact_noops: AtomicU64,
-    /// Current epoch of the service's mutable graph (gauge).
-    pub graph_epoch: AtomicU64,
-    /// Vertices currently carrying an uncompacted delta (gauge).
-    pub overlay_vertices: AtomicU64,
-    /// Disk-tier pool lookups across all worker pools (gauge, refreshed
-    /// after every batch of a disk-backed service; zero otherwise).
-    pub disk_lookups: AtomicU64,
-    /// Disk-tier lookups served by a resident decoded partition (gauge,
-    /// `disk_lookups == disk_hits + disk_misses`).
-    pub disk_hits: AtomicU64,
-    /// Disk-tier lookups that decoded a partition from its mapped
-    /// segment (gauge).
-    pub disk_misses: AtomicU64,
-    /// Decoded partitions evicted by the pools' clock sweeps (gauge,
-    /// `disk_evictions <= disk_misses`).
-    pub disk_evictions: AtomicU64,
-    /// Bytes currently held by decoded partitions across all pools
-    /// (gauge).
-    pub disk_pool_bytes: AtomicU64,
-    /// Simulated 4 KiB page faults charged for streaming mapped
-    /// segments during decodes (gauge).
-    pub disk_mmap_faults: AtomicU64,
-    /// RAM bytes produced by disk-tier decodes (gauge).
-    pub disk_decode_bytes: AtomicU64,
-    /// Decode wall-time histogram: bucket `i` counts decodes that took
-    /// ≤ `csaw_core::residency::DECODE_BUCKETS_US[i]` µs (gauge).
-    pub disk_decode_hist: [AtomicU64; csaw_core::residency::NUM_DECODE_BUCKETS],
-    /// Sum of decode wall times, microseconds (gauge).
-    pub disk_decode_sum_us: AtomicU64,
-    /// Decodes timed into the histogram (gauge).
-    pub disk_decode_count: AtomicU64,
-    /// Queue-full sheds split by tenant label (untagged requests charge
-    /// the empty label). Off the hot path: touched only when a request
-    /// is actually shed.
-    tenant_sheds: Mutex<HashMap<String, u64>>,
+        impl ServiceStats {
+            csaw_gpu::counter_gen!(snapshot (StatsSnapshot) {
+                $($own)* $($launch)* $($batch)* $($cache)* $($disk)*
+            });
+
+            /// Accumulates one launch's `launch` and `batch` rows (a no-op for
+            /// the `batch` rows of instance-major launches, which are zero).
+            pub(crate) fn record_launch(&self, launch: &SimStats) {
+                csaw_gpu::counter_gen!(add (launch => self) { $($launch)* $($batch)* });
+            }
+
+            /// Publishes the totals of the worker's CTPS caches (gauge
+            /// semantics: the caches outlive batches, so each publish replaces
+            /// the last).
+            pub(crate) fn record_cache(&self, caches: &[CacheSnapshot]) {
+                csaw_gpu::counter_gen!(sum (caches => self) { $($cache)* });
+            }
+
+            /// Publishes the disk tier's totals (gauge semantics: the tier's
+            /// pools outlive batches, so each publish replaces the last).
+            pub(crate) fn record_disk(&self, tier: &DiskTierStats) {
+                csaw_gpu::counter_gen!(load (tier => self) { $($disk)* });
+            }
+        }
+
+        impl StatsSnapshot {
+            csaw_gpu::counter_gen!(metrics () {
+                $($own)* $($launch)* $($batch)* $($cache)* $($disk)*
+            });
+        }
+
+        /// The ledger's conservation identities, from the counter table.
+        pub const IDENTITIES: &[Identity<StatsSnapshot>] =
+            &csaw_gpu::counter_gen!(identities (StatsSnapshot) $ids);
+    };
 }
+csaw_gpu::counter_table!(ledger);
 
 impl ServiceStats {
     /// Bumps a counter by one.
@@ -196,39 +106,6 @@ impl ServiceStats {
         Self::inc(&self.batch_hist[bucket]);
     }
 
-    /// Publishes the worker's CTPS-cache totals (gauge semantics: the
-    /// caches outlive batches, so each publish replaces the last).
-    pub(crate) fn record_cache(&self, totals: &csaw_core::ctps_cache::CacheSnapshot) {
-        self.cache_lookups.store(totals.lookups, Relaxed);
-        self.cache_hits.store(totals.hits, Relaxed);
-        self.cache_misses.store(totals.misses, Relaxed);
-        self.cache_promotions.store(totals.promotions, Relaxed);
-        self.cache_evictions.store(totals.evictions, Relaxed);
-        self.cache_evictions_clock.store(totals.evictions_clock, Relaxed);
-        self.cache_evictions_stale.store(totals.evictions_stale, Relaxed);
-        self.cache_evictions_replaced.store(totals.evictions_replaced, Relaxed);
-        self.cache_bytes.store(totals.bytes, Relaxed);
-        self.cache_alias_hits.store(totals.alias_hits, Relaxed);
-        self.cache_alias_promotions.store(totals.alias_promotions, Relaxed);
-    }
-
-    /// Publishes the disk tier's totals (gauge semantics: the tier's
-    /// pools outlive batches, so each publish replaces the last).
-    pub(crate) fn record_disk(&self, tier: &csaw_core::residency::DiskTierStats) {
-        self.disk_lookups.store(tier.lookups.load(Relaxed), Relaxed);
-        self.disk_hits.store(tier.hits.load(Relaxed), Relaxed);
-        self.disk_misses.store(tier.misses.load(Relaxed), Relaxed);
-        self.disk_evictions.store(tier.evictions.load(Relaxed), Relaxed);
-        self.disk_pool_bytes.store(tier.pool_bytes.load(Relaxed), Relaxed);
-        self.disk_mmap_faults.store(tier.mmap_faults.load(Relaxed), Relaxed);
-        self.disk_decode_bytes.store(tier.decode_bytes.load(Relaxed), Relaxed);
-        for (dst, src) in self.disk_decode_hist.iter().zip(tier.decode_hist.iter()) {
-            dst.store(src.load(Relaxed), Relaxed);
-        }
-        self.disk_decode_sum_us.store(tier.decode_sum_us.load(Relaxed), Relaxed);
-        self.disk_decode_count.store(tier.decode_count.load(Relaxed), Relaxed);
-    }
-
     /// Charges a queue-full shed to `tenant`'s split counter. The caller
     /// bumps the global `rejected_queue_full` separately; this keeps the
     /// invariant `rejected_queue_full == Σ tenant_sheds`.
@@ -245,166 +122,16 @@ impl ServiceStats {
         v.sort();
         v
     }
-
-    /// Accumulates one launch's per-method expansion counters.
-    pub(crate) fn record_methods(&self, stats: &csaw_gpu::stats::SimStats) {
-        Self::add(&self.method_its, stats.method_its);
-        Self::add(&self.method_alias, stats.method_alias);
-        Self::add(&self.method_rejection, stats.method_rejection);
-        Self::add(&self.method_uniform, stats.method_uniform);
-        Self::add(&self.rejection_trials, stats.rejection_trials);
-    }
-
-    /// Accumulates one launch's depth-synchronous frontier counters
-    /// (vertex groups, group-size histogram, prefetch coverage). A no-op
-    /// for instance-major launches, whose `batch_*` fields are all zero.
-    pub(crate) fn record_batch_exec(&self, stats: &csaw_gpu::stats::SimStats) {
-        Self::add(&self.batch_groups, stats.batch_groups);
-        Self::add(&self.batch_group_entries, stats.batch_group_entries);
-        for (dst, &src) in self.batch_group_hist.iter().zip(stats.batch_group_hist.iter()) {
-            Self::add(dst, src);
-        }
-        Self::add(&self.batch_prefetch_hits, stats.batch_prefetch_hits);
-        Self::add(&self.batch_prefetch_misses, stats.batch_prefetch_misses);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            submitted: self.submitted.load(Relaxed),
-            accepted: self.accepted.load(Relaxed),
-            rejected_invalid: self.rejected_invalid.load(Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Relaxed),
-            rejected_shutdown: self.rejected_shutdown.load(Relaxed),
-            expired: self.expired.load(Relaxed),
-            completed: self.completed.load(Relaxed),
-            failed: self.failed.load(Relaxed),
-            batches: self.batches.load(Relaxed),
-            queue_depth: self.queue_depth.load(Relaxed),
-            sampled_edges: self.sampled_edges.load(Relaxed),
-            transfers: self.transfers.load(Relaxed),
-            bytes_transferred: self.bytes_transferred.load(Relaxed),
-            batch_hist: std::array::from_fn(|i| self.batch_hist[i].load(Relaxed)),
-            cache_lookups: self.cache_lookups.load(Relaxed),
-            cache_hits: self.cache_hits.load(Relaxed),
-            cache_misses: self.cache_misses.load(Relaxed),
-            cache_promotions: self.cache_promotions.load(Relaxed),
-            cache_evictions: self.cache_evictions.load(Relaxed),
-            cache_evictions_clock: self.cache_evictions_clock.load(Relaxed),
-            cache_evictions_stale: self.cache_evictions_stale.load(Relaxed),
-            cache_evictions_replaced: self.cache_evictions_replaced.load(Relaxed),
-            cache_bytes: self.cache_bytes.load(Relaxed),
-            cache_alias_hits: self.cache_alias_hits.load(Relaxed),
-            cache_alias_promotions: self.cache_alias_promotions.load(Relaxed),
-            method_its: self.method_its.load(Relaxed),
-            method_alias: self.method_alias.load(Relaxed),
-            method_rejection: self.method_rejection.load(Relaxed),
-            method_uniform: self.method_uniform.load(Relaxed),
-            rejection_trials: self.rejection_trials.load(Relaxed),
-            batch_groups: self.batch_groups.load(Relaxed),
-            batch_group_entries: self.batch_group_entries.load(Relaxed),
-            batch_group_hist: std::array::from_fn(|i| self.batch_group_hist[i].load(Relaxed)),
-            batch_prefetch_hits: self.batch_prefetch_hits.load(Relaxed),
-            batch_prefetch_misses: self.batch_prefetch_misses.load(Relaxed),
-            mutations_submitted: self.mutations_submitted.load(Relaxed),
-            mutations: self.mutations.load(Relaxed),
-            mutations_rejected: self.mutations_rejected.load(Relaxed),
-            compact_requests: self.compact_requests.load(Relaxed),
-            compactions: self.compactions.load(Relaxed),
-            compact_noops: self.compact_noops.load(Relaxed),
-            graph_epoch: self.graph_epoch.load(Relaxed),
-            overlay_vertices: self.overlay_vertices.load(Relaxed),
-            disk_lookups: self.disk_lookups.load(Relaxed),
-            disk_hits: self.disk_hits.load(Relaxed),
-            disk_misses: self.disk_misses.load(Relaxed),
-            disk_evictions: self.disk_evictions.load(Relaxed),
-            disk_pool_bytes: self.disk_pool_bytes.load(Relaxed),
-            disk_mmap_faults: self.disk_mmap_faults.load(Relaxed),
-            disk_decode_bytes: self.disk_decode_bytes.load(Relaxed),
-            disk_decode_hist: std::array::from_fn(|i| self.disk_decode_hist[i].load(Relaxed)),
-            disk_decode_sum_us: self.disk_decode_sum_us.load(Relaxed),
-            disk_decode_count: self.disk_decode_count.load(Relaxed),
-        }
-    }
-}
-
-/// Plain-value copy of [`ServiceStats`] (see its field docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct StatsSnapshot {
-    pub submitted: u64,
-    pub accepted: u64,
-    pub rejected_invalid: u64,
-    pub rejected_queue_full: u64,
-    pub rejected_shutdown: u64,
-    pub expired: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub batches: u64,
-    pub queue_depth: u64,
-    pub sampled_edges: u64,
-    pub transfers: u64,
-    pub bytes_transferred: u64,
-    pub batch_hist: [u64; NUM_BUCKETS],
-    pub cache_lookups: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_promotions: u64,
-    pub cache_evictions: u64,
-    pub cache_evictions_clock: u64,
-    pub cache_evictions_stale: u64,
-    pub cache_evictions_replaced: u64,
-    pub cache_bytes: u64,
-    pub cache_alias_hits: u64,
-    pub cache_alias_promotions: u64,
-    pub method_its: u64,
-    pub method_alias: u64,
-    pub method_rejection: u64,
-    pub method_uniform: u64,
-    pub rejection_trials: u64,
-    pub batch_groups: u64,
-    pub batch_group_entries: u64,
-    pub batch_group_hist: [u64; 8],
-    pub batch_prefetch_hits: u64,
-    pub batch_prefetch_misses: u64,
-    pub mutations_submitted: u64,
-    pub mutations: u64,
-    pub mutations_rejected: u64,
-    pub compact_requests: u64,
-    pub compactions: u64,
-    pub compact_noops: u64,
-    pub graph_epoch: u64,
-    pub overlay_vertices: u64,
-    pub disk_lookups: u64,
-    pub disk_hits: u64,
-    pub disk_misses: u64,
-    pub disk_evictions: u64,
-    pub disk_pool_bytes: u64,
-    pub disk_mmap_faults: u64,
-    pub disk_decode_bytes: u64,
-    pub disk_decode_hist: [u64; csaw_core::residency::NUM_DECODE_BUCKETS],
-    pub disk_decode_sum_us: u64,
-    pub disk_decode_count: u64,
 }
 
 impl StatsSnapshot {
-    /// True when every submitted request — sampling, mutation, and
-    /// compact alike — has reached exactly one terminal state. Only
-    /// meaningful when the service is idle (after a drain); mid-flight
-    /// requests are accepted but not yet terminal.
+    /// True when every identity in [`IDENTITIES`] holds: every submitted
+    /// request — sampling, mutation, and compact alike — has reached
+    /// exactly one terminal state, and the disk-tier and depth-sync
+    /// counters conserve. Only meaningful when the service is idle (after
+    /// a drain); mid-flight requests are accepted but not yet terminal.
     pub fn fully_accounted(&self) -> bool {
-        self.submitted
-            == self.accepted
-                + self.rejected_invalid
-                + self.rejected_queue_full
-                + self.rejected_shutdown
-            && self.accepted == self.completed + self.expired + self.failed
-            && self.mutations_submitted == self.mutations + self.mutations_rejected
-            && self.compact_requests == self.compactions + self.compact_noops
-            && self.disk_lookups == self.disk_hits + self.disk_misses
-            && self.disk_evictions <= self.disk_misses
-            && self.batch_prefetch_hits + self.batch_prefetch_misses == self.batch_groups
-            && self.batch_group_hist.iter().sum::<u64>() == self.batch_groups
+        IDENTITIES.iter().all(|identity| identity.check(self))
     }
 
     /// Launches recorded by the histogram (should equal `batches`).
@@ -429,7 +156,7 @@ mod tests {
         assert_eq!(snap.batch_hist[0], 1, "n=1");
         assert_eq!(snap.batch_hist[1], 1, "n=2");
         assert_eq!(snap.batch_hist[2], 2, "n=3,4");
-        assert_eq!(snap.batch_hist[NUM_BUCKETS - 1], 2, "n=65,1000");
+        assert_eq!(snap.batch_hist[BATCH_BUCKETS.len()], 2, "n=65,1000");
     }
 
     #[test]
@@ -460,6 +187,81 @@ mod tests {
         assert!(!stats.snapshot().fully_accounted());
         ServiceStats::inc(&stats.compact_noops);
         assert!(stats.snapshot().fully_accounted());
+    }
+
+    /// A snapshot that satisfies every identity, with `<=` ones tight.
+    fn balanced() -> StatsSnapshot {
+        StatsSnapshot {
+            submitted: 10,
+            accepted: 6,
+            rejected_invalid: 2,
+            rejected_queue_full: 1,
+            rejected_shutdown: 1,
+            completed: 3,
+            expired: 2,
+            failed: 1,
+            mutations_submitted: 5,
+            mutations: 3,
+            mutations_rejected: 2,
+            compact_requests: 4,
+            compactions: 1,
+            compact_noops: 3,
+            disk_lookups: 9,
+            disk_hits: 5,
+            disk_misses: 4,
+            disk_evictions: 4,
+            batch_groups: 7,
+            batch_prefetch_hits: 5,
+            batch_prefetch_misses: 2,
+            batch_group_hist: [3, 2, 0, 1, 0, 0, 0, 1],
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn every_identity_is_checked() {
+        assert_eq!(IDENTITIES.len(), 8);
+        assert!(balanced().fully_accounted());
+        for identity in IDENTITIES {
+            assert!(identity.check(&balanced()), "{}", identity.text);
+            // Perturb a row no other identity reads (for `<=`, the total:
+            // the only side whose growth can break it).
+            let at_most = (identity.holds)(0, 1);
+            let term = identity
+                .terms
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i == 0 || !at_most)
+                .map(|(_, t)| t)
+                .find(|t| {
+                    IDENTITIES.iter().filter(|o| o.terms.iter().any(|u| u.name == t.name)).count()
+                        == 1
+                })
+                .unwrap_or_else(|| panic!("{}: no row of its own", identity.text));
+            let mut snap = balanced();
+            (term.bump)(&mut snap);
+            assert!(!snap.fully_accounted(), "{} (bumped {})", identity.text, term.name);
+        }
+    }
+
+    #[test]
+    fn records_launch_cache_and_disk_rows() {
+        let stats = ServiceStats::default();
+        let mut launch = SimStats { sampled_edges: 4, method_alias: 2, ..Default::default() };
+        launch.record_batch_group(3);
+        stats.record_launch(&launch);
+        stats.record_launch(&launch);
+        let cache = CacheSnapshot { lookups: 5, evictions_stale: 1, ..Default::default() };
+        stats.record_cache(&[cache, cache]);
+        let tier = DiskTierStats::default();
+        tier.hits.store(6, Relaxed);
+        tier.decode_hist[2].store(1, Relaxed);
+        stats.record_disk(&tier);
+        let snap = stats.snapshot();
+        assert_eq!((snap.sampled_edges, snap.method_alias, snap.batch_groups), (8, 4, 2));
+        assert_eq!(snap.batch_group_hist[1], 2);
+        assert_eq!((snap.cache_lookups, snap.cache_evictions_stale), (10, 2));
+        assert_eq!((snap.disk_hits, snap.disk_decode_hist[2]), (6, 1));
     }
 
     #[test]

@@ -46,17 +46,6 @@ fn algo_spec(choice: usize) -> AlgoSpec {
     }
 }
 
-/// Zeroes the counters that only depth-sync execution produces — the
-/// *only* stats allowed to differ between the two schedules.
-fn scrub(mut s: SimStats) -> SimStats {
-    s.batch_groups = 0;
-    s.batch_group_entries = 0;
-    s.batch_group_hist = [0; 8];
-    s.batch_prefetch_hits = 0;
-    s.batch_prefetch_misses = 0;
-    s
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -98,10 +87,10 @@ proptest! {
             batched.stats.batch_group_hist.iter().sum::<u64>(),
             batched.stats.batch_groups
         );
-        prop_assert_eq!(scrub(batched.stats), scrub(reference.stats));
+        prop_assert_eq!(batched.stats.without_batch(), reference.stats.without_batch());
         // Per-instance attribution still sums to the totals.
         let summed: SimStats = batched.instance_stats.iter().copied().sum();
-        prop_assert_eq!(scrub(summed), scrub(batched.stats));
+        prop_assert_eq!(summed.without_batch(), batched.stats.without_batch());
     }
 
     /// Out-of-memory path: the scheduler's grouped drain under
@@ -126,7 +115,7 @@ proptest! {
         let reference = run(ExecMode::InstanceMajor);
         let batched = run(ExecMode::DepthSync);
         prop_assert_eq!(&batched.instances, &reference.instances);
-        prop_assert_eq!(scrub(batched.stats), scrub(reference.stats));
+        prop_assert_eq!(batched.stats.without_batch(), reference.stats.without_batch());
     }
 
     /// Service path: a service configured for depth-sync execution

@@ -4,11 +4,8 @@
 //! field carries a distinct value, plus two tenants and the serve-plane
 //! counters. A family is a `# HELP` line with everything up to the next
 //! one; each golden family must render byte-identically (family order is
-//! free), and the only families allowed beyond the golden set are the
-//! ones listed in [`NEW_FAMILIES`].
-//!
-//! Regenerate (only when a family is meant to change) with
-//! `CSAW_BLESS=1 cargo test --test metrics_golden`.
+//! free), and the families beyond the golden set are exactly the ones
+//! listed in [`NEW_FAMILIES`].
 
 use csaw::serve::tenant::{TenantSnapshot, WaitHistogram};
 use csaw::serve::{render, ServeMetrics};
@@ -111,7 +108,7 @@ fn page() -> String {
         events_published: 53,
         events_dropped: 54,
         subscribers: 55,
-        ..Default::default()
+        connection_errors: 58,
     };
     let sheds = [(String::new(), 56), ("acme \"q\"".to_string(), 57)];
     render(&snapshot(), &sheds, &[tenant("acme \"q\"", 500), tenant("beta", 600)], &serve)
@@ -138,16 +135,14 @@ fn families(page: &str) -> BTreeMap<String, String> {
 
 #[test]
 fn metrics_page_matches_golden() {
-    let page = page();
-    if std::env::var_os("CSAW_BLESS").is_some() {
-        std::fs::write(GOLDEN, &page).unwrap();
-    }
     let golden = families(&std::fs::read_to_string(GOLDEN).unwrap());
-    let now = families(&page);
+    let now = families(&page());
     for (name, text) in &golden {
         assert_eq!(now.get(name), Some(text), "family {name} changed");
     }
-    for name in now.keys().filter(|n| !golden.contains_key(*n)) {
-        assert!(NEW_FAMILIES.contains(&name.as_str()), "unexpected new family {name}");
-    }
+    let added: Vec<&str> =
+        now.keys().filter(|n| !golden.contains_key(*n)).map(|n| n.as_str()).collect();
+    let mut expected = NEW_FAMILIES.to_vec();
+    expected.sort_unstable();
+    assert_eq!(added, expected, "families beyond the golden set");
 }

@@ -601,5 +601,41 @@ fn version_mismatch_is_rejected_at_handshake() {
         Frame::Error(e) => assert_eq!(e.code, ErrorCode::VersionMismatch),
         other => panic!("expected version-mismatch error, got {other:?}"),
     }
+    // A first frame that is not a frame at all (a zero length header) is
+    // a bad frame, not a version mismatch.
+    let mut s = TcpStream::connect(server.addr()).expect("connect");
+    s.write_all(&0u32.to_le_bytes()).expect("send");
+    s.flush().expect("flush");
+    match read_frame(&mut s).expect("reply") {
+        Frame::Error(e) => assert_eq!(e.code, ErrorCode::BadFrame),
+        other => panic!("expected bad-frame error, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn connection_io_errors_are_counted() {
+    use csaw::serve::{read_frame, write_frame, WIRE_VERSION};
+    let service = SamplingService::with_engine(test_graph(), ServiceConfig::default());
+    let server = CsawServer::start(service, ServeConfig::default()).expect("bind");
+    let metrics_addr = server.metrics_addr().expect("metrics listener enabled");
+    let errors = || {
+        let (_, page) = scrape(metrics_addr, "/metrics");
+        parse_value(&page, "csaw_serve_connection_errors_total").expect("errors row")
+    };
+    assert_eq!(errors(), 0.0);
+    // Hello, then half a length header, then gone: the server's read
+    // hits EOF mid-frame.
+    let mut s = TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut s, &Frame::Hello { version: WIRE_VERSION, tenant: "t".into() })
+        .expect("send hello");
+    assert!(matches!(read_frame(&mut s).expect("ack"), Frame::HelloAck { .. }));
+    s.write_all(&[7, 0]).expect("send half a header");
+    drop(s);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while errors() == 0.0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(errors(), 1.0);
     server.shutdown();
 }
