@@ -55,7 +55,7 @@ struct DriverBufs {
 fn run_rep(kernel: &StepKernel<'_>, g: &Csr, chunks: &[Vec<VertexId>], b: &mut DriverBufs) -> u64 {
     let cfg = *kernel.cfg();
     let detector = kernel.select().detector;
-    let mut access = CsrAccess { graph: g };
+    let mut access = CsrAccess::new(g);
     let mut steps = 0u64;
     for (inst, seeds) in chunks.iter().enumerate() {
         let inst = inst as u32;

@@ -65,7 +65,7 @@ fn run_rep(
 ) -> (u64, u64) {
     let cfg = *kernel.cfg();
     let detector = kernel.select().detector;
-    let mut access = CsrAccess { graph: g };
+    let mut access = CsrAccess::new(g);
     let mut steps = 0u64;
     let mut edges = 0u64;
     for (inst, seeds) in chunks.iter().enumerate() {

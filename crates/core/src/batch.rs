@@ -408,7 +408,7 @@ mod tests {
         let reference = crate::engine::Sampler::new(&g, &algo).run(&seeds);
 
         let kernel = StepKernel::new(&algo, 0x5eed);
-        let mut access = CsrAccess { graph: &g };
+        let mut access = CsrAccess::new(&g);
         let chunk: Vec<ChunkInstance<'_>> = seeds
             .iter()
             .enumerate()
@@ -461,7 +461,7 @@ mod tests {
         let mut arena = BatchArena::new();
         let mut scratch = StepScratch::new();
         let mut run = || {
-            let mut access = CsrAccess { graph: &g };
+            let mut access = CsrAccess::new(&g);
             let mut outs = vec![Vec::new(); seeds.len()];
             let mut per_inst = vec![SimStats::new(); seeds.len()];
             run_chunk(

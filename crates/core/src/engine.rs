@@ -27,8 +27,8 @@ use crate::batch::ChunkInstance;
 use crate::output::SampleOutput;
 use crate::select::SelectConfig;
 use crate::step::{
-    with_thread_scratch, CsrAccess, DeltaAccess, EmitSink, NeighborAccess, PoolSink, PoolSlot,
-    StepEntry, StepKernel, TrialCounter,
+    with_thread_scratch, CsrAccess, EmitSink, NeighborAccess, PoolSink, PoolSlot, StepEntry,
+    StepKernel, TrialCounter,
 };
 use csaw_gpu::device::LaunchResult;
 use csaw_gpu::stats::SimStats;
@@ -172,7 +172,7 @@ pub struct RunOptions {
     pub method_policy: crate::method::MethodPolicy,
     /// Optional epoch snapshot of a [`csaw_graph::MutableGraph`]. When
     /// set, every instance gathers through the snapshot's delta overlay
-    /// ([`DeltaAccess`]) instead of the bare CSR: mutated vertices serve
+    /// ([`CsrAccess::snapshot`]) instead of the bare CSR: mutated vertices serve
     /// their merged adjacency, untouched vertices serve the base slices
     /// verbatim. RNG streams are keyed by `(instance, depth, vertex,
     /// trial)` only, so a snapshot run is bit-identical to a from-scratch
@@ -221,6 +221,24 @@ impl Default for RunOptions {
             prefetch_distance: 8,
             batch_chunk: None,
         }
+    }
+}
+
+impl RunOptions {
+    /// The disk tier this run gathers through, if any. The one place the
+    /// snapshot/disk exclusivity is checked.
+    fn disk_tier(&self) -> Option<&crate::residency::DiskRunConfig> {
+        assert!(
+            self.snapshot.is_none() || self.disk.is_none(),
+            "RunOptions.snapshot and RunOptions.disk are mutually exclusive"
+        );
+        self.disk.as_ref()
+    }
+
+    /// The resident access of a run without a disk tier: the bound
+    /// snapshot's view, else the bare `graph`.
+    fn view_access<'a>(&'a self, graph: &'a Csr) -> CsrAccess<'a> {
+        self.snapshot.as_ref().map_or_else(|| CsrAccess::new(graph), CsrAccess::snapshot)
     }
 }
 
@@ -415,15 +433,8 @@ fn run_instance(
     instance: u32,
     seeds: &[VertexId],
 ) -> (Vec<(VertexId, VertexId)>, SimStats) {
-    match (opts.snapshot.as_ref(), opts.disk.as_ref()) {
-        (Some(_), Some(_)) => {
-            panic!("RunOptions.snapshot and RunOptions.disk are mutually exclusive")
-        }
-        (Some(snapshot), None) => {
-            let mut access = DeltaAccess { snapshot };
-            drive_instance(&mut access, algo, opts, instance, seeds)
-        }
-        (None, Some(disk)) => crate::residency::with_thread_disk_access(disk, |access| {
+    match opts.disk_tier() {
+        Some(disk) => crate::residency::with_thread_disk_access(disk, |access| {
             let (out, mut stats) = drive_instance(access, algo, opts, instance, seeds);
             // Attribute the disk work this instance caused on its worker
             // thread (decodes, hits, evictions) to its own counters; the
@@ -431,16 +442,13 @@ fn run_instance(
             access.flush_stats(&mut stats);
             (out, stats)
         }),
-        (None, None) => {
-            let mut access = CsrAccess { graph: g };
-            drive_instance(&mut access, algo, opts, instance, seeds)
-        }
+        None => drive_instance(&mut opts.view_access(g), algo, opts, instance, seeds),
     }
 }
 
 /// The per-instance depth loop, generic over how adjacency is gathered
-/// (bare CSR or epoch snapshot) — the loop itself is identical, which is
-/// what makes the two paths bit-identical on identical adjacency.
+/// (resident view or disk tier) — the loop itself is identical, which is
+/// what makes the paths bit-identical on identical adjacency.
 fn drive_instance<N: NeighborAccess>(
     access: &mut N,
     algo: &dyn Algorithm,
@@ -561,25 +569,15 @@ fn run_chunk_task(
     base: usize,
     sets: &[Vec<VertexId>],
 ) -> (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>) {
-    match (opts.snapshot.as_ref(), opts.disk.as_ref()) {
-        (Some(_), Some(_)) => {
-            panic!("RunOptions.snapshot and RunOptions.disk are mutually exclusive")
-        }
-        (Some(snapshot), None) => {
-            let mut access = DeltaAccess { snapshot };
-            drive_chunk(&mut access, algo, opts, cfg, base, sets)
-        }
-        (None, Some(disk)) => crate::residency::with_thread_disk_access(disk, |access| {
+    match opts.disk_tier() {
+        Some(disk) => crate::residency::with_thread_disk_access(disk, |access| {
             let (outs, mut per_inst) = drive_chunk(access, algo, opts, cfg, base, sets);
             if let Some(first) = per_inst.first_mut() {
                 access.flush_stats(first);
             }
             (outs, per_inst)
         }),
-        (None, None) => {
-            let mut access = CsrAccess { graph: g };
-            drive_chunk(&mut access, algo, opts, cfg, base, sets)
-        }
+        None => drive_chunk(&mut opts.view_access(g), algo, opts, cfg, base, sets),
     }
 }
 

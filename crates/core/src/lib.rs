@@ -68,4 +68,4 @@ pub use method::{MethodPolicy, SelectMethod};
 pub use output::SampleOutput;
 pub use residency::{DiskAccess, DiskRunConfig, DiskTierStats, ResidencyHierarchy};
 pub use select::{CollisionDetectorKind, SelectStrategy};
-pub use step::{DeltaAccess, FrontierSink, NeighborAccess, PoolSlot, StepEntry, StepKernel};
+pub use step::{CsrAccess, FrontierSink, NeighborAccess, PoolSlot, StepEntry, StepKernel};

@@ -42,7 +42,7 @@ pub fn profile_depths<A: Algorithm>(
     );
     let select = SelectConfig::paper_best();
     let kernel = StepKernel::new(algo, seed).with_select(select);
-    let mut access = CsrAccess { graph: g };
+    let mut access = CsrAccess::new(g);
     let mut stats = SimStats::new();
     let mut frontiers: Vec<Vec<PoolSlot>> =
         seeds.iter().map(|&s| vec![PoolSlot::seed(s)]).collect();

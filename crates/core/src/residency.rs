@@ -17,11 +17,16 @@
 //! ```
 //!
 //! **Epoch composition.** Evicting a decoded partition bumps that
-//! partition's residency epoch, and [`DiskAccess::entry_epoch`] tags
-//! every vertex with `partition_epoch << 32` — the same composition
-//! [`crate::step::DeltaPartitionAccess`] uses (`residency_epoch << 32 |
-//! entry_version`), so the existing CTPS/alias invalidation machinery
-//! retires tier-1 entries whose tier-2 backing was recycled, unchanged.
+//! partition's residency epoch. Every cache tag is one
+//! [`crate::step::cache_tag`]`(high, low)`: [`DiskAccess::entry_epoch`]
+//! puts the partition epoch in the high half (the low, mutation-version
+//! half stays zero — the store serves immutable epochs), so the existing
+//! CTPS/alias invalidation machinery retires tier-1 entries whose tier-2
+//! backing was recycled, unchanged. Under the out-of-memory scheduler,
+//! [`crate::step::PartitionAccess`] over a `DiskAccess` puts the
+//! stream's device residency epoch in the high half and the partition
+//! epoch in the low half, so a cached entry dies when either its device
+//! partition was swapped or its host decoded copy was evicted.
 //! Re-decoded content is bit-identical, so epoch churn only affects the
 //! cost model, never the sample.
 //!
@@ -58,7 +63,7 @@
 //! counters; the conservation identities checked by
 //! [`DiskPoolSnapshot::is_conserved`] hold regardless.
 
-use crate::step::{gather_bytes, Gathered, NeighborAccess};
+use crate::step::{cache_tag, gather_bytes, Gathered, NeighborAccess};
 use csaw_gpu::stats::SimStats;
 use csaw_graph::store::{DecodedPartition, DiskStore};
 use csaw_graph::{GraphView, PagedAdjacency, VertexId, Weight};
@@ -206,8 +211,6 @@ struct Pool {
     /// Per-partition residency epoch, bumped on eviction; composed into
     /// `entry_epoch` tags.
     epochs: Vec<u64>,
-    /// Monotonic count of eviction events (the access-wide epoch).
-    global_epoch: u64,
     /// Misses per partition since its last admission (the admission
     /// filter's evidence of heat); reset when the full decode lands.
     touches: Vec<u8>,
@@ -256,7 +259,6 @@ impl Pool {
             slot.bytes = 0;
             self.bytes -= b;
             self.epochs[p] += 1;
-            self.global_epoch += 1;
             self.pend.evictions += 1;
             self.totals.evictions += 1;
             if let Some(sh) = shared {
@@ -352,7 +354,6 @@ impl ResidencyHierarchy {
                 .collect(),
             hand: 0,
             epochs: vec![0; k],
-            global_epoch: 0,
             touches: vec![0; k],
             admit_all: pool_budget >= store.total_decoded_bytes(),
             runs: Vec::with_capacity(SCRATCH_RING),
@@ -393,12 +394,6 @@ impl ResidencyHierarchy {
         let p = self.store.partition_of(v);
         // SAFETY: as in snapshot().
         unsafe { (&(*self.pool.get()).epochs)[p] }
-    }
-
-    /// Access-wide eviction count (the coarse epoch).
-    pub fn global_epoch(&self) -> u64 {
-        // SAFETY: as in snapshot().
-        unsafe { (*self.pool.get()).global_epoch }
     }
 
     /// Points the hierarchy at a different observability sink, moving
@@ -654,49 +649,11 @@ impl NeighborAccess for DiskAccess {
         Gathered { graph: GraphView::paged(hier), neighbors, weights }
     }
 
-    fn epoch(&self) -> u64 {
-        self.hier.global_epoch()
-    }
-
     fn entry_epoch(&self, v: VertexId) -> u64 {
-        // Composed exactly like DeltaPartitionAccess: residency epoch in
-        // the high half, per-vertex mutation version in the low half
-        // (zero — the disk tier serves immutable epochs).
-        self.hier.partition_epoch(v) << 32
-    }
-}
-
-/// Disk access wrapped for the out-of-memory scheduler: composes the
-/// stream's device-residency epoch (high half) with the disk pool's
-/// per-partition epoch (low half), so a cached CTPS entry dies when
-/// *either* its device partition was swapped or its host decoded copy
-/// was evicted — the full three-tier invalidation chain.
-pub struct TieredDiskAccess<'a> {
-    /// The worker's disk access.
-    pub inner: &'a mut DiskAccess,
-    /// Device residency epoch of the stream this access serves.
-    pub residency_epoch: u64,
-}
-
-impl NeighborAccess for TieredDiskAccess<'_> {
-    fn graph(&self) -> GraphView<'_> {
-        self.inner.graph()
-    }
-
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        self.inner.gather(v, stats)
-    }
-
-    fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
-        self.inner.fetch(v)
-    }
-
-    fn epoch(&self) -> u64 {
-        (self.residency_epoch << 32) | (self.inner.epoch() & 0xffff_ffff)
-    }
-
-    fn entry_epoch(&self, v: VertexId) -> u64 {
-        (self.residency_epoch << 32) | (self.inner.hier.partition_epoch(v) & 0xffff_ffff)
+        // The pool's partition epoch is this access's residency epoch;
+        // the mutation-version half stays zero — the disk tier serves
+        // immutable epochs.
+        cache_tag(self.hier.partition_epoch(v), 0)
     }
 }
 
@@ -732,9 +689,22 @@ pub fn with_thread_disk_access<R>(cfg: &DiskRunConfig, f: impl FnOnce(&mut DiskA
     })
 }
 
+/// [`with_thread_disk_access`] when `cfg` is set; otherwise runs `f`
+/// with no disk tier.
+pub fn with_optional_thread_disk_access<R>(
+    cfg: Option<&DiskRunConfig>,
+    f: impl FnOnce(Option<&mut DiskAccess>) -> R,
+) -> R {
+    match cfg {
+        Some(cfg) => with_thread_disk_access(cfg, |access| f(Some(access))),
+        None => f(None),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::PartitionAccess;
     use csaw_graph::generators::{rmat, toy_graph, RmatParams};
     use csaw_graph::store::write_store;
     use std::path::PathBuf;
@@ -872,13 +842,13 @@ mod tests {
     fn tiered_access_composes_device_and_disk_epochs() {
         let g = toy_graph();
         let (store, dir) = open_store("tiered", &g, 2);
+        let parts = csaw_graph::PartitionSet::equal_ranges(&g, 2);
         let mut access = DiskAccess::new(&cfg(&store, store.total_decoded_bytes()));
         let mut stats = SimStats::new();
         let _ = access.gather(0, &mut stats);
         let disk_epoch = access.hierarchy().partition_epoch(0);
-        let tiered = TieredDiskAccess { inner: &mut access, residency_epoch: 5 };
+        let tiered = PartitionAccess::new(&g, &parts, None, Some(&mut access), 5);
         assert_eq!(tiered.entry_epoch(0), (5u64 << 32) | (disk_epoch & 0xffff_ffff));
-        assert_eq!(tiered.epoch() >> 32, 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,10 +16,14 @@
 //! small traits:
 //!
 //! - [`NeighborAccess`] — where adjacency comes from and what the memory
-//!   system charges for it: the in-memory CSR ([`CsrAccess`]), a
-//!   [`PartitionSet`] slice on the out-of-memory device
-//!   ([`PartitionAccess`]), or a demand-paged unified-memory cache (the
-//!   comparator in `csaw-oom` wraps its page cache in this trait).
+//!   system charges for it. One type per storage: a resident
+//!   [`GraphView`] — the bare CSR or an epoch snapshot's overlay —
+//!   ([`CsrAccess`]); [`PartitionSet`] slices on the out-of-memory
+//!   device, optionally behind a snapshot's overlay or the disk tier
+//!   ([`PartitionAccess`]); the disk tier alone
+//!   ([`crate::residency::DiskAccess`]); and, in `csaw-oom`, a
+//!   demand-paged unified-memory cache and a fault-in simulation that
+//!   hands its reads to [`PartitionAccess`].
 //! - [`FrontierSink`] — where sampled edges and next-depth frontier
 //!   entries go: the engine's per-instance pool ([`PoolSink`]), the OOM
 //!   scheduler's visited-shard + cross-partition outbox, or the unified
@@ -39,6 +43,7 @@ use crate::method::{
     choose_method, MethodContext, MethodPolicy, RejectionFeedback, SelectMethod,
     REJECTION_MAX_TRIALS,
 };
+use crate::residency::DiskAccess;
 use crate::select::{
     select_one_preloaded, select_one_rejection, select_one_uniform, select_one_with,
     select_without_replacement_into, select_without_replacement_preloaded_into,
@@ -162,25 +167,17 @@ pub trait NeighborAccess {
     /// adjacency gather.
     fn fetch(&mut self, v: VertexId) -> Gathered<'_>;
 
-    /// Residency epoch tagging cached per-vertex state. Runtimes that
-    /// change what adjacency is device-resident mid-run (the out-of-memory
-    /// scheduler's partition swaps) bump this so stale
-    /// [`crate::ctps_cache::CtpsCache`] entries are dropped — a resident
-    /// cache on a real GPU dies with the partition's device memory.
-    /// Fully-resident runtimes keep the default constant epoch.
-    fn epoch(&self) -> u64 {
-        0
-    }
-
     /// Cache-invalidation tag for *vertex* `v`'s cached per-vertex state
-    /// (CTPS/alias entries). Defaults to the access-wide [`Self::epoch`];
-    /// snapshot accesses over a mutable graph override it with the
-    /// vertex's mutation version so an epoch bump only invalidates the
-    /// vertices the mutation actually touched — hot untouched vertices
-    /// keep their entries across epochs.
+    /// (CTPS/alias entries); a lookup under a different tag drops the
+    /// entry. Fully-resident static runtimes keep the default constant
+    /// tag. Runtimes that change what adjacency is device-resident
+    /// mid-run (partition swaps, disk-pool evictions) fold their
+    /// residency epoch in, and snapshot accesses fold in the vertex's
+    /// mutation version, so an epoch bump only invalidates the vertices
+    /// it actually touched (see [`cache_tag`]).
     fn entry_epoch(&self, v: VertexId) -> u64 {
         let _ = v;
-        self.epoch()
+        0
     }
 
     /// Hints the host memory system to pull `v`'s row-pointer cache line
@@ -200,205 +197,210 @@ pub trait NeighborAccess {
     }
 }
 
-/// In-memory access: the whole CSR is resident; a gather costs its
-/// global-memory bytes.
+/// The two-level cache tag: the outer tier's residency epoch in the high
+/// 32 bits, the inner level's epoch (a mutation version, or the disk
+/// pool's partition epoch) truncated to the low 32. Either half changing
+/// changes the tag, so a cached entry dies when *either* level recycled
+/// its backing. Epochs past 2^32 alias (see ROADMAP).
+#[inline]
+pub fn cache_tag(high: u64, low: u64) -> u64 {
+    (high << 32) | (low & 0xffff_ffff)
+}
+
+/// Issues a T0 prefetch for the cache line holding `p`: a hint that
+/// charges nothing and changes nothing observable.
+#[inline]
+fn prefetch_line(p: *const i8) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: `_mm_prefetch` never faults and has no architectural
+        // effect beyond cache population.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// Access over a resident [`GraphView`]: the bare CSR
+/// ([`CsrAccess::new`]) or an epoch [`GraphSnapshot`] of a mutable graph
+/// ([`CsrAccess::snapshot`]) — base CSR slices for untouched vertices,
+/// merged overlay slices for mutated ones. A gather costs its
+/// global-memory bytes over the *logical* degree, so a snapshot run and
+/// a run on the compacted CSR of the same epoch count identical traffic.
+///
+/// Over a snapshot, `entry_epoch` reports the per-vertex 1-hop mutation
+/// version ([`GraphSnapshot::entry_version`]), not the graph epoch:
+/// cached CTPS/alias entries for vertices whose neighborhood is
+/// untouched (tag 0, the same tag the bare CSR uses) stay valid across
+/// epochs and across compaction, while entries whose bias inputs an edit
+/// touched — the edited vertex *and* its neighbors, since static biases
+/// such as degree bias read the far endpoint's adjacency — go stale
+/// lazily the next time they are looked up.
 pub struct CsrAccess<'g> {
-    /// The resident graph.
-    pub graph: &'g Csr,
+    view: GraphView<'g>,
+    snapshot: Option<&'g GraphSnapshot>,
+}
+
+impl<'g> CsrAccess<'g> {
+    /// Access over a bare CSR.
+    pub fn new(graph: &'g Csr) -> Self {
+        CsrAccess { view: graph.view(), snapshot: None }
+    }
+
+    /// Access over `snapshot`'s logical graph (base + delta overlay).
+    pub fn snapshot(snapshot: &'g GraphSnapshot) -> Self {
+        CsrAccess { view: snapshot.view(), snapshot: Some(snapshot) }
+    }
 }
 
 impl NeighborAccess for CsrAccess<'_> {
     fn graph(&self) -> GraphView<'_> {
-        self.graph.view()
+        self.view
     }
 
     fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        stats.read_gmem(gather_bytes(self.graph.is_weighted(), self.graph.degree(v)));
+        stats.read_gmem(gather_bytes(self.view.is_weighted(), self.view.degree(v)));
         self.fetch(v)
     }
 
     fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
-        Gathered {
-            graph: self.graph.view(),
-            neighbors: self.graph.neighbors(v),
-            weights: self.graph.neighbor_weights(v),
-        }
-    }
-
-    fn prefetch_index(&self, v: VertexId) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let rp = self.graph.row_ptr();
-            if let Some(p) = rp.get(v as usize) {
-                // SAFETY: `p` points into a live slice; _mm_prefetch has
-                // no architectural effect beyond cache population.
-                unsafe {
-                    std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                        p as *const usize as *const i8,
-                    );
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = v;
-    }
-
-    fn prefetch_adjacency(&self, v: VertexId) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let n = self.graph.neighbors(v);
-            let bytes = std::mem::size_of_val(n).min(256);
-            let base = n.as_ptr() as *const i8;
-            let mut off = 0;
-            // Up to four cache lines of the neighbor slice — enough for
-            // the low-degree rows that dominate power-law frontiers.
-            while off < bytes {
-                // SAFETY: `off < bytes <= n.len() * 4`, so the address
-                // stays inside the slice; prefetch is side-effect free.
-                unsafe {
-                    std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                        base.wrapping_add(off),
-                    );
-                }
-                off += 64;
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = v;
-    }
-}
-
-/// Partition access: adjacency is read from the owning partition's
-/// resident copy (the out-of-memory scheduler guarantees residency before
-/// the kernel runs). Charges the same gather bytes as [`CsrAccess`], so
-/// in-memory and out-of-memory runs of the same sample count identical
-/// global-memory traffic.
-pub struct PartitionAccess<'g> {
-    /// The full graph, for the algorithm hooks.
-    pub graph: &'g Csr,
-    /// The partitioning whose slices serve the gathers.
-    pub parts: &'g PartitionSet,
-    /// Residency epoch of the stream this access serves (bumped by the
-    /// scheduler whenever device-resident partitions change).
-    pub epoch: u64,
-}
-
-impl NeighborAccess for PartitionAccess<'_> {
-    fn graph(&self) -> GraphView<'_> {
-        self.graph.view()
-    }
-
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        let p = self.parts.get(self.parts.partition_of(v));
-        stats.read_gmem(gather_bytes(self.graph.is_weighted(), p.degree(v)));
-        self.fetch(v)
-    }
-
-    fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
-        let p = self.parts.get(self.parts.partition_of(v));
-        Gathered {
-            graph: self.graph.view(),
-            neighbors: p.neighbors(v),
-            weights: p.neighbor_weights(v),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-/// Snapshot access: adjacency comes from a [`GraphSnapshot`] of a mutable
-/// graph — base CSR slices for untouched vertices, merged overlay slices
-/// for mutated ones. Charges the same gather bytes as [`CsrAccess`] over
-/// the *logical* degree, so a snapshot run and a run on the compacted CSR
-/// of the same epoch count identical global-memory traffic.
-///
-/// `entry_epoch` reports the per-vertex 1-hop mutation version
-/// ([`GraphSnapshot::entry_version`]), not the graph epoch: cached
-/// CTPS/alias entries for vertices whose neighborhood is untouched
-/// (tag 0, the same tag [`CsrAccess`] uses) stay valid across epochs and
-/// across compaction, while entries whose bias inputs an edit touched —
-/// the edited vertex *and* its neighbors, since static biases such as
-/// degree bias read the far endpoint's adjacency — go stale lazily the
-/// next time they are looked up.
-pub struct DeltaAccess<'g> {
-    /// The frozen snapshot this access reads.
-    pub snapshot: &'g GraphSnapshot,
-}
-
-impl NeighborAccess for DeltaAccess<'_> {
-    fn graph(&self) -> GraphView<'_> {
-        self.snapshot.view()
-    }
-
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        let view = self.snapshot.view();
-        stats.read_gmem(gather_bytes(view.is_weighted(), view.degree(v)));
-        self.fetch(v)
-    }
-
-    fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
-        let view = self.snapshot.view();
+        let view = self.view;
         Gathered { graph: view, neighbors: view.neighbors(v), weights: view.neighbor_weights(v) }
     }
 
-    fn epoch(&self) -> u64 {
-        self.snapshot.epoch()
-    }
-
     fn entry_epoch(&self, v: VertexId) -> u64 {
-        self.snapshot.entry_version(v)
-    }
-}
-
-/// Snapshot access for the out-of-memory scheduler: untouched vertices
-/// read their owning partition's resident slice (partitions are built
-/// from the snapshot's base CSR), mutated vertices read their merged
-/// overlay slice (the overlay is small and host-pinned; its transfer is
-/// not separately modeled — see DESIGN.md). `entry_epoch` composes the
-/// stream's residency epoch with the vertex's mutation version so either
-/// a partition swap *or* a mutation invalidates a cached entry.
-pub struct DeltaPartitionAccess<'g> {
-    /// The frozen snapshot this access reads.
-    pub snapshot: &'g GraphSnapshot,
-    /// Partitioning of the snapshot's base CSR.
-    pub parts: &'g PartitionSet,
-    /// Residency epoch of the stream this access serves.
-    pub residency_epoch: u64,
-}
-
-impl NeighborAccess for DeltaPartitionAccess<'_> {
-    fn graph(&self) -> GraphView<'_> {
-        self.snapshot.view()
+        self.snapshot.map_or(0, |s| s.entry_version(v))
     }
 
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        let deg = match self.snapshot.delta_adjacency(v) {
-            Some((n, _)) => n.len(),
-            None => self.parts.get(self.parts.partition_of(v)).degree(v),
-        };
-        stats.read_gmem(gather_bytes(self.snapshot.view().is_weighted(), deg));
-        self.fetch(v)
-    }
-
-    fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
-        let graph = self.snapshot.view();
-        match self.snapshot.delta_adjacency(v) {
-            Some((neighbors, weights)) => Gathered { graph, neighbors, weights },
-            None => {
-                let p = self.parts.get(self.parts.partition_of(v));
-                Gathered { graph, neighbors: p.neighbors(v), weights: p.neighbor_weights(v) }
-            }
+    fn prefetch_index(&self, v: VertexId) {
+        // Mutated vertices keep their (stale) base row pointer, so the
+        // hint is harmless for them.
+        if let Some(p) = self.view.base().row_ptr().get(v as usize) {
+            prefetch_line(p as *const usize as *const i8);
         }
     }
 
-    fn epoch(&self) -> u64 {
-        self.residency_epoch
+    fn prefetch_adjacency(&self, v: VertexId) {
+        let n = self.view.neighbors(v);
+        // Up to four cache lines of the neighbor slice — enough for the
+        // low-degree rows that dominate power-law frontiers.
+        let bytes = std::mem::size_of_val(n).min(256);
+        let base = n.as_ptr() as *const i8;
+        for off in (0..bytes).step_by(64) {
+            prefetch_line(base.wrapping_add(off));
+        }
+    }
+}
+
+/// Access for the out-of-memory scheduler: adjacency is read from the
+/// owning partition's resident copy (the scheduler guarantees residency
+/// before the kernel runs). Charges the same gather bytes as
+/// [`CsrAccess`], so in-memory and out-of-memory runs of the same sample
+/// count identical global-memory traffic.
+///
+/// Two optional layers sit in front of the partition slices:
+///
+/// - a [`GraphSnapshot`] of a mutable graph — partitions are built from
+///   its base CSR, and a mutated vertex reads its merged overlay slice
+///   instead (the overlay is small and host-pinned; its transfer is not
+///   separately modeled — see DESIGN.md);
+/// - a [`DiskAccess`] — the host copy of every partition lives in the
+///   disk tier, so an untouched vertex reads the worker's decoded pool.
+///
+/// The two are mutually exclusive (the disk tier serves immutable
+/// epochs). `entry_epoch` is the [`cache_tag`] of the stream's device
+/// residency epoch over the vertex's mutation version or its disk
+/// partition epoch, so a partition swap, a mutation or a pool eviction
+/// each invalidate a cached entry — the full three-tier chain.
+pub struct PartitionAccess<'g, 'd> {
+    view: GraphView<'g>,
+    parts: &'g PartitionSet,
+    snapshot: Option<&'g GraphSnapshot>,
+    disk: Option<&'d mut DiskAccess>,
+    residency_epoch: u64,
+}
+
+impl<'g, 'd> PartitionAccess<'g, 'd> {
+    /// Access over `parts`, the partitioning of `graph` (or of
+    /// `snapshot`'s base when one is given), for a stream at device
+    /// residency epoch `residency_epoch`.
+    ///
+    /// # Panics
+    /// Panics if both `snapshot` and `disk` are given.
+    pub fn new(
+        graph: &'g Csr,
+        parts: &'g PartitionSet,
+        snapshot: Option<&'g GraphSnapshot>,
+        disk: Option<&'d mut DiskAccess>,
+        residency_epoch: u64,
+    ) -> Self {
+        assert!(
+            snapshot.is_none() || disk.is_none(),
+            "disk tier and mutation snapshot are mutually exclusive"
+        );
+        let view = snapshot.map_or_else(|| graph.view(), GraphSnapshot::view);
+        PartitionAccess { view, parts, snapshot, disk, residency_epoch }
+    }
+
+    /// The partitioning whose slices serve the gathers.
+    pub fn parts(&self) -> &'g PartitionSet {
+        self.parts
+    }
+
+    /// Whether `v` reads its overlay slice rather than its partition.
+    pub fn is_overlay(&self, v: VertexId) -> bool {
+        self.snapshot.is_some_and(|s| s.delta_adjacency(v).is_some())
+    }
+
+    /// Drains the disk tier's pending counters into `stats` (no-op
+    /// without a disk tier).
+    pub fn flush_disk_stats(&mut self, stats: &mut SimStats) {
+        if let Some(disk) = self.disk.as_deref_mut() {
+            disk.flush_stats(stats);
+        }
+    }
+}
+
+impl NeighborAccess for PartitionAccess<'_, '_> {
+    fn graph(&self) -> GraphView<'_> {
+        match self.disk.as_deref() {
+            Some(disk) => disk.graph(),
+            None => self.view,
+        }
+    }
+
+    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
+        if let Some(disk) = self.disk.as_deref_mut() {
+            // Exclusive prologue: frees the pool's deferred evictions
+            // before this step's working set forms.
+            disk.maintain();
+        }
+        let gathered = self.fetch(v);
+        stats.read_gmem(gather_bytes(gathered.graph.is_weighted(), gathered.neighbors.len()));
+        gathered
+    }
+
+    fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
+        let graph = self.view;
+        if let Some((neighbors, weights)) = self.snapshot.and_then(|s| s.delta_adjacency(v)) {
+            return Gathered { graph, neighbors, weights };
+        }
+        if let Some(disk) = self.disk.as_deref_mut() {
+            return disk.fetch(v);
+        }
+        let p = self.parts.get(self.parts.partition_of(v));
+        Gathered { graph, neighbors: p.neighbors(v), weights: p.neighbor_weights(v) }
     }
 
     fn entry_epoch(&self, v: VertexId) -> u64 {
-        (self.residency_epoch << 32) | (self.snapshot.entry_version(v) & 0xffff_ffff)
+        let low = match (self.snapshot, self.disk.as_deref()) {
+            (Some(s), _) => s.entry_version(v),
+            (None, Some(disk)) => disk.hierarchy().partition_epoch(v),
+            (None, None) => 0,
+        };
+        cache_tag(self.residency_epoch, low)
     }
 }
 
@@ -1529,7 +1531,7 @@ mod tests {
         let algo = Ns2;
         let kernel = StepKernel::new(&algo, seed);
         let cfg = algo.config();
-        let mut access = CsrAccess { graph: &g };
+        let mut access = CsrAccess::new(&g);
         let mut visited = HashSet::new();
         let mut next = Vec::new();
         let mut out = Vec::new();
@@ -1597,6 +1599,17 @@ mod tests {
         assert_eq!(t.next(0, 6), 0, "vertices are independent");
         t.reset();
         assert_eq!(t.next(0, 5), 0, "reset forgets prior steps");
+    }
+
+    #[test]
+    fn cache_tag_packs_outer_epoch_high_and_truncates_inner_low() {
+        assert_eq!(cache_tag(0, 0), 0);
+        assert_eq!(cache_tag(5, 3), (5 << 32) | 3);
+        assert_eq!(cache_tag(1, 0), 1 << 32);
+        // The inner epoch is truncated to 32 bits, never spilling into
+        // the outer half.
+        assert_eq!(cache_tag(2, (7 << 32) | 9), (2 << 32) | 9);
+        assert_ne!(cache_tag(1, 0), cache_tag(0, 1));
     }
 
     #[test]

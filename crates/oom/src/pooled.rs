@@ -20,33 +20,25 @@
 use crate::config::OomConfig;
 use crate::scheduler::{OomOutput, OomRunner, KERNEL_LAUNCH_OVERHEAD};
 use csaw_core::api::{Algorithm, FrontierMode};
-use csaw_core::residency::{with_thread_disk_access, DiskAccess};
+use csaw_core::residency::{with_optional_thread_disk_access, DiskAccess};
 use csaw_core::step::{
-    gather_bytes, EmitSink, Gathered, NeighborAccess, PoolSink, PoolSlot, StepKernel, StepScratch,
+    EmitSink, Gathered, NeighborAccess, PartitionAccess, PoolSink, PoolSlot, StepKernel,
+    StepScratch,
 };
 use csaw_gpu::cost::gpu_kernel_seconds;
 use csaw_gpu::memory::DeviceMemory;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::transfer::TransferEngine;
-use csaw_graph::{Csr, GraphSnapshot, GraphView, Partition, PartitionSet, VertexId};
+use csaw_graph::{GraphView, Partition, PartitionSet, VertexId};
 use std::collections::{HashSet, VecDeque};
 
 /// Demand-resident partition access: a gather whose partition is not on
-/// the device first evicts (FIFO) until the partition fits, transfers it
-/// on stream 0, and then charges the same gather bytes every other
-/// runtime charges.
+/// the device first evicts (FIFO) until the partition fits and transfers
+/// it on stream 0; the read itself — overlay, disk pool or partition
+/// slice, and its gather-byte charge — is [`PartitionAccess`]'s.
+/// Overlay vertices are device-resident and never fault.
 struct ResidentAccess<'g, 'd> {
-    graph: &'g Csr,
-    parts: &'g PartitionSet,
-    /// Epoch snapshot, when the run samples a mutable graph: overlay
-    /// vertices serve their merged adjacency (device-resident, no
-    /// partition fault), untouched vertices page the base partitions.
-    snapshot: Option<&'g GraphSnapshot>,
-    /// Disk tier, when the run's host side is an on-disk store: the
-    /// device fault-in simulation runs unchanged, but the adjacency
-    /// bytes themselves come from the worker's decoded-partition pool
-    /// instead of the resident CSR slices.
-    disk: Option<&'d mut DiskAccess>,
+    inner: PartitionAccess<'g, 'd>,
     memory: DeviceMemory,
     engine: TransferEngine,
     fifo: VecDeque<usize>,
@@ -54,20 +46,11 @@ struct ResidentAccess<'g, 'd> {
 }
 
 impl<'g, 'd> ResidentAccess<'g, 'd> {
-    fn new(
-        graph: &'g Csr,
-        parts: &'g PartitionSet,
-        snapshot: Option<&'g GraphSnapshot>,
-        disk: Option<&'d mut DiskAccess>,
-        cfg: &OomConfig,
-        pcie_gbps: f64,
-    ) -> Self {
-        let max_part_bytes = parts.parts().iter().map(Partition::size_bytes).max().unwrap_or(1);
+    fn new(inner: PartitionAccess<'g, 'd>, cfg: &OomConfig, pcie_gbps: f64) -> Self {
+        let max_part_bytes =
+            inner.parts().parts().iter().map(Partition::size_bytes).max().unwrap_or(1);
         ResidentAccess {
-            graph,
-            parts,
-            snapshot,
-            disk,
+            inner,
             memory: DeviceMemory::new(max_part_bytes * cfg.resident_partitions),
             engine: TransferEngine::new(1, pcie_gbps),
             fifo: VecDeque::new(),
@@ -75,12 +58,18 @@ impl<'g, 'd> ResidentAccess<'g, 'd> {
         }
     }
 
-    /// Makes `p` resident, evicting FIFO victims as needed.
-    fn fault_in(&mut self, p: usize) {
+    /// Makes `v`'s partition resident (unless `v` reads its overlay),
+    /// evicting FIFO victims as needed.
+    fn fault_in(&mut self, v: VertexId) {
+        if self.inner.is_overlay(v) {
+            return;
+        }
+        let parts = self.inner.parts();
+        let p = parts.partition_of(v);
         if self.memory.is_resident(p) {
             return;
         }
-        let bytes = self.parts.get(p).size_bytes();
+        let bytes = parts.get(p).size_bytes();
         while !self.memory.can_fit(bytes) {
             let victim = self.fifo.pop_front().expect("a resident partition to evict");
             self.memory.release(victim).expect("fifo tracks residency");
@@ -93,69 +82,21 @@ impl<'g, 'd> ResidentAccess<'g, 'd> {
 
 impl NeighborAccess for ResidentAccess<'_, '_> {
     fn graph(&self) -> GraphView<'_> {
-        if let Some(disk) = self.disk.as_deref() {
-            return disk.graph();
-        }
-        match self.snapshot {
-            Some(s) => s.view(),
-            None => self.graph.view(),
-        }
+        self.inner.graph()
     }
 
     fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        if let Some(s) = self.snapshot {
-            if let Some((neighbors, weights)) = s.delta_adjacency(v) {
-                stats.read_gmem(gather_bytes(self.graph.is_weighted(), neighbors.len()));
-                return Gathered { graph: s.view(), neighbors, weights };
-            }
-        }
-        let p = self.parts.partition_of(v);
-        self.fault_in(p);
-        // Field-disjoint arms: the `disk` borrow must not overlap a
-        // whole-`self` method call in the fall-through.
-        match self.disk.as_deref_mut() {
-            Some(disk) => disk.gather(v, stats),
-            None => {
-                let part = self.parts.get(p);
-                stats.read_gmem(gather_bytes(self.graph.is_weighted(), part.degree(v)));
-                let graph = match self.snapshot {
-                    Some(s) => s.view(),
-                    None => self.graph.view(),
-                };
-                Gathered { graph, neighbors: part.neighbors(v), weights: part.neighbor_weights(v) }
-            }
-        }
+        self.fault_in(v);
+        self.inner.gather(v, stats)
     }
 
     fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
-        if let Some(s) = self.snapshot {
-            if let Some((neighbors, weights)) = s.delta_adjacency(v) {
-                return Gathered { graph: s.view(), neighbors, weights };
-            }
-        }
-        let p = self.parts.partition_of(v);
-        self.fault_in(p);
-        match self.disk.as_deref_mut() {
-            Some(disk) => disk.fetch(v),
-            None => {
-                let part = self.parts.get(p);
-                let graph = match self.snapshot {
-                    Some(s) => s.view(),
-                    None => self.graph.view(),
-                };
-                Gathered { graph, neighbors: part.neighbors(v), weights: part.neighbor_weights(v) }
-            }
-        }
+        self.fault_in(v);
+        self.inner.fetch(v)
     }
 
     fn entry_epoch(&self, v: VertexId) -> u64 {
-        if let Some(disk) = self.disk.as_deref() {
-            return disk.entry_epoch(v);
-        }
-        match self.snapshot {
-            Some(s) => s.entry_version(v),
-            None => 0,
-        }
+        self.inner.entry_epoch(v)
     }
 }
 
@@ -168,12 +109,9 @@ pub(crate) fn run_pooled<A: Algorithm>(
     parts: &PartitionSet,
     seed_sets: &[Vec<VertexId>],
 ) -> OomOutput {
-    match runner.disk.as_ref() {
-        Some(cfg) => {
-            with_thread_disk_access(cfg, |da| run_pooled_inner(runner, parts, seed_sets, Some(da)))
-        }
-        None => run_pooled_inner(runner, parts, seed_sets, None),
-    }
+    with_optional_thread_disk_access(runner.disk.as_ref(), |disk| {
+        run_pooled_inner(runner, parts, seed_sets, disk)
+    })
 }
 
 fn run_pooled_inner<A: Algorithm>(
@@ -189,10 +127,7 @@ fn run_pooled_inner<A: Algorithm>(
         .with_select(runner.select)
         .with_method_policy(runner.method_policy);
     let mut access = ResidentAccess::new(
-        runner.graph,
-        parts,
-        runner.snapshot.as_ref(),
-        disk,
+        PartitionAccess::new(runner.graph, parts, runner.snapshot.as_ref(), disk, 0),
         &runner.cfg,
         runner.device.pcie_gbps,
     );
@@ -263,9 +198,7 @@ fn run_pooled_inner<A: Algorithm>(
         rounds = rounds.max(steps);
     }
 
-    if let Some(disk) = access.disk.as_deref_mut() {
-        disk.flush_stats(&mut stats);
-    }
+    access.inner.flush_disk_stats(&mut stats);
     stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
     // One logical kernel per pool step amortized over the run; the
     // transfer timeline is serial on stream 0 (gathers are dependent, so

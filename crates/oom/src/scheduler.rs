@@ -49,10 +49,11 @@ use csaw_core::ctps_cache::CtpsCache;
 use csaw_core::engine::ExecMode;
 use csaw_core::frontier::{FrontierEntry, FrontierQueue};
 use csaw_core::method::MethodPolicy;
+use csaw_core::residency::with_optional_thread_disk_access;
 use csaw_core::select::SelectConfig;
 use csaw_core::step::{
-    with_thread_scratch, DeltaPartitionAccess, FrontierSink, NeighborAccess, PartitionAccess,
-    StepEntry, StepKernel, StepScratch,
+    with_thread_scratch, FrontierSink, NeighborAccess, PartitionAccess, StepEntry, StepKernel,
+    StepScratch,
 };
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds_with_slots;
@@ -660,83 +661,37 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         let mut outbox: Vec<Outbound> = Vec::new();
         let mut edges: Vec<(usize, (VertexId, VertexId))> = Vec::new();
         let mut stats = SimStats::new();
-        let straggler_cycles = match (self.snapshot.as_ref(), self.disk.as_ref()) {
-            (Some(snapshot), _) => {
-                let mut access =
-                    DeltaPartitionAccess { snapshot, parts, residency_epoch: task.epoch };
-                self.drain_queue(
-                    &kernel,
-                    &mut access,
-                    parts,
-                    algo_cfg,
-                    instance_base,
-                    seeds,
-                    task.partition,
-                    &mut queue,
-                    &mut shard,
-                    &mut outbox,
-                    &mut edges,
-                    &mut stats,
-                )
-            }
-            (None, Some(disk)) => {
-                csaw_core::residency::with_thread_disk_access(disk, |da| {
-                    let cycles = {
-                        let mut access = csaw_core::residency::TieredDiskAccess {
-                            inner: da,
-                            residency_epoch: task.epoch,
-                        };
-                        self.drain_queue(
-                            &kernel,
-                            &mut access,
-                            parts,
-                            algo_cfg,
-                            instance_base,
-                            seeds,
-                            task.partition,
-                            &mut queue,
-                            &mut shard,
-                            &mut outbox,
-                            &mut edges,
-                            &mut stats,
-                        )
-                    };
-                    // This stream round's disk work travels with its
-                    // kernel counters into the round's cost model.
-                    da.flush_stats(&mut stats);
-                    cycles
-                })
-            }
-            (None, None) => {
-                let mut access = PartitionAccess { graph: self.graph, parts, epoch: task.epoch };
-                self.drain_queue(
-                    &kernel,
-                    &mut access,
-                    parts,
-                    algo_cfg,
-                    instance_base,
-                    seeds,
-                    task.partition,
-                    &mut queue,
-                    &mut shard,
-                    &mut outbox,
-                    &mut edges,
-                    &mut stats,
-                )
-            }
-        };
+        let straggler_cycles = with_optional_thread_disk_access(self.disk.as_ref(), |disk| {
+            let mut access =
+                PartitionAccess::new(self.graph, parts, self.snapshot.as_ref(), disk, task.epoch);
+            let cycles = self.drain_queue(
+                &kernel,
+                &mut access,
+                algo_cfg,
+                instance_base,
+                seeds,
+                task.partition,
+                &mut queue,
+                &mut shard,
+                &mut outbox,
+                &mut edges,
+                &mut stats,
+            );
+            // This stream round's disk work travels with its kernel
+            // counters into the round's cost model.
+            access.flush_disk_stats(&mut stats);
+            cycles
+        });
         (StreamRound { queue, shard, outbox, edges, straggler_cycles }, stats)
     }
 
-    /// The drain loop of one stream round, generic over how adjacency is
-    /// gathered (partitioned base CSR, or base + delta overlay). Returns
-    /// the straggler cycle bound for unbatched runs.
+    /// The drain loop of one stream round. Returns the straggler cycle
+    /// bound for unbatched runs.
     #[allow(clippy::too_many_arguments)]
-    fn drain_queue<N: NeighborAccess>(
+    fn drain_queue(
         &self,
         kernel: &StepKernel<'_>,
-        access: &mut N,
-        parts: &PartitionSet,
+        access: &mut PartitionAccess<'_, '_>,
         algo_cfg: &AlgoConfig,
         instance_base: u32,
         seeds: &[VertexId],
@@ -747,6 +702,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         edges: &mut Vec<(usize, (VertexId, VertexId))>,
         stats: &mut SimStats,
     ) -> u64 {
+        let parts = access.parts();
         let mut straggler_cycles: u64 = 0;
         let mut per_instance: HashMap<u32, u64> = HashMap::new();
         // Per-stream arena: stream tasks run one per host thread, so the
@@ -760,7 +716,6 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
                 self.drain_batch_grouped(
                     kernel,
                     access,
-                    parts,
                     algo_cfg,
                     instance_base,
                     seeds,
@@ -825,11 +780,10 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
     /// all match exactly. Only the unbatched straggler bound may differ
     /// slightly (expansion charges accrue in grouped order).
     #[allow(clippy::too_many_arguments)]
-    fn drain_batch_grouped<N: NeighborAccess>(
+    fn drain_batch_grouped(
         &self,
         kernel: &StepKernel<'_>,
-        access: &mut N,
-        parts: &PartitionSet,
+        access: &mut PartitionAccess<'_, '_>,
         algo_cfg: &AlgoConfig,
         instance_base: u32,
         seeds: &[VertexId],
@@ -844,6 +798,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         per_instance: &mut HashMap<u32, u64>,
         straggler_cycles: &mut u64,
     ) {
+        let parts = access.parts();
         let n = batch.len();
         // Queue entries carry their logical position; the queue path
         // always expands trial 0 (duplicates of one (instance, depth,

@@ -9,12 +9,13 @@
 //! claim across random graphs, seed multisets (duplicates included, so
 //! walkers collide on vertices and share groups), chunk partitions, and
 //! prefetch lookaheads, through all three paths: the engine, the
-//! out-of-memory scheduler, and the sampling service.
+//! out-of-memory scheduler, and the sampling service — over a static CSR
+//! and over an epoch snapshot with a live mutation overlay.
 
 use csaw::core::engine::{ExecMode, RunOptions, Sampler};
 use csaw::core::AlgoSpec;
 use csaw::gpu::stats::SimStats;
-use csaw::graph::{Csr, CsrBuilder};
+use csaw::graph::{Csr, CsrBuilder, EdgeEdit, GraphSnapshot, MutableGraph};
 use csaw::oom::{OomConfig, OomRunner};
 use csaw::service::{SamplingRequest, SamplingService, ServiceConfig};
 use proptest::prelude::*;
@@ -44,6 +45,28 @@ fn algo_spec(choice: usize) -> AlgoSpec {
         1 => AlgoSpec::by_name("biased-walk").unwrap().with_depth(6),
         _ => AlgoSpec::by_name("neighbor").unwrap().with_depth(2),
     }
+}
+
+/// Applies `edits` to `g` one epoch each — an insert `(src, dst)`, or a
+/// delete of `src`'s `dst`-th current neighbor — and returns the
+/// uncompacted snapshot, so mutated vertices read live overlay slices
+/// under distinct mutation versions.
+fn mutated_snapshot(g: &Csr, edits: &[(u32, u32, bool)]) -> GraphSnapshot {
+    let mut mg = MutableGraph::new(g.clone());
+    for &(src, dst, delete) in edits {
+        let edit = if delete {
+            let snap = mg.snapshot();
+            let nbrs = snap.view().neighbors(src);
+            if nbrs.is_empty() {
+                continue;
+            }
+            EdgeEdit::Delete { src, dst: nbrs[dst as usize % nbrs.len()] }
+        } else {
+            EdgeEdit::Insert { src, dst, weight: 1.0 }
+        };
+        mg.apply_batch(&[edit]).expect("edits are valid by construction");
+    }
+    mg.snapshot()
 }
 
 proptest! {
@@ -115,6 +138,58 @@ proptest! {
         let reference = run(ExecMode::InstanceMajor);
         let batched = run(ExecMode::DepthSync);
         prop_assert_eq!(&batched.instances, &reference.instances);
+        prop_assert_eq!(batched.stats.without_batch(), reference.stats.without_batch());
+    }
+
+    /// Snapshot path: over an epoch snapshot with a live overlay, the
+    /// depth-sync engine (prefetching through the snapshot's view) and
+    /// the out-of-memory grouped drain (overlay slices in front of the
+    /// partitions) each reproduce their instance-major run exactly.
+    #[test]
+    fn depth_sync_is_bit_identical_over_a_mutated_snapshot(
+        g in arb_graph(),
+        edits in prop::collection::vec((0u32..N, 0u32..N, any::<bool>()), 1..16),
+        seed_sets in arb_seed_sets(),
+        choice in 0usize..3,
+        chunk in prop::option::of(1usize..8),
+        prefetch in 0usize..12,
+        rng_seed in 1u64..4,
+    ) {
+        let snap = mutated_snapshot(&g, &edits);
+        prop_assert!(snap.overlay_vertices() > 0);
+        let algo = algo_spec(choice).build().unwrap();
+        let algo: &dyn csaw::core::api::Algorithm = algo.as_ref();
+        let engine = |exec: ExecMode| {
+            Sampler::new(snap.base(), &algo)
+                .with_options(RunOptions {
+                    seed: rng_seed,
+                    snapshot: Some(snap.clone()),
+                    exec,
+                    prefetch_distance: prefetch,
+                    batch_chunk: chunk,
+                    ..Default::default()
+                })
+                .run(&seed_sets)
+        };
+        let reference = engine(ExecMode::InstanceMajor);
+        let batched = engine(ExecMode::DepthSync);
+        prop_assert_eq!(&batched.instances, &reference.instances,
+            "depth-sync engine diverged over a snapshot (chunk {:?}, prefetch {})",
+            chunk, prefetch);
+        prop_assert_eq!(batched.stats.without_batch(), reference.stats.without_batch());
+
+        let seeds: Vec<u32> = seed_sets.iter().map(|s| s[0]).collect();
+        let oom = |exec: ExecMode| {
+            OomRunner::new(snap.base(), &algo, OomConfig::full())
+                .with_snapshot(snap.clone())
+                .with_seed(rng_seed)
+                .with_exec(exec)
+                .run(&seeds)
+        };
+        let reference = oom(ExecMode::InstanceMajor);
+        let batched = oom(ExecMode::DepthSync);
+        prop_assert_eq!(&batched.instances, &reference.instances,
+            "OOM grouped drain diverged over a snapshot");
         prop_assert_eq!(batched.stats.without_batch(), reference.stats.without_batch());
     }
 

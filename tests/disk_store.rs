@@ -7,7 +7,7 @@
 //! trial)`, and the disk tier serves the exact same neighbor slices).
 
 use csaw::core::algorithms::{BiasedRandomWalk, UnbiasedNeighborSampling};
-use csaw::core::engine::{RunOptions, Sampler};
+use csaw::core::engine::{ExecMode, RunOptions, Sampler};
 use csaw::core::residency::{DiskRunConfig, DiskTierStats};
 use csaw::core::AlgoSpec;
 use csaw::graph::generators::{rmat, RmatParams};
@@ -52,8 +52,8 @@ fn engine_is_bit_identical_at_every_pool_budget() {
     let seeds: Vec<u32> = (0..48).map(|i| i * 13 % 512).collect();
     let dir = tmp_dir("engine");
     for algo_case in 0..2 {
-        let run = |disk: Option<DiskRunConfig>| {
-            let opts = RunOptions { seed: 7, disk, ..Default::default() };
+        let run = |disk: Option<DiskRunConfig>, exec: ExecMode| {
+            let opts = RunOptions { seed: 7, disk, exec, ..Default::default() };
             match algo_case {
                 0 => {
                     let algo = BiasedRandomWalk { length: 12 };
@@ -65,22 +65,24 @@ fn engine_is_bit_identical_at_every_pool_budget() {
                 }
             }
         };
-        let mem = run(None);
-        for pool in POOL_BUDGETS {
-            let cfg = disk_cfg(&g, &dir, 8, pool);
-            let tier = cfg.shared.clone().unwrap();
-            let disk = run(Some(cfg));
-            assert_eq!(
-                disk.instances, mem.instances,
-                "algo {algo_case}: pool {pool} changed the sample"
-            );
-            let (lookups, hits, misses) = (
-                tier.lookups.load(std::sync::atomic::Ordering::Relaxed),
-                tier.hits.load(std::sync::atomic::Ordering::Relaxed),
-                tier.misses.load(std::sync::atomic::Ordering::Relaxed),
-            );
-            assert!(lookups > 0, "disk tier never consulted");
-            assert_eq!(lookups, hits + misses, "tier ledger must balance");
+        let mem = run(None, ExecMode::InstanceMajor);
+        for exec in [ExecMode::InstanceMajor, ExecMode::DepthSync] {
+            for pool in POOL_BUDGETS {
+                let cfg = disk_cfg(&g, &dir, 8, pool);
+                let tier = cfg.shared.clone().unwrap();
+                let disk = run(Some(cfg), exec);
+                assert_eq!(
+                    disk.instances, mem.instances,
+                    "algo {algo_case}, {exec:?}: pool {pool} changed the sample"
+                );
+                let (lookups, hits, misses) = (
+                    tier.lookups.load(std::sync::atomic::Ordering::Relaxed),
+                    tier.hits.load(std::sync::atomic::Ordering::Relaxed),
+                    tier.misses.load(std::sync::atomic::Ordering::Relaxed),
+                );
+                assert!(lookups > 0, "disk tier never consulted");
+                assert_eq!(lookups, hits + misses, "tier ledger must balance");
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();

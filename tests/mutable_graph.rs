@@ -9,7 +9,7 @@
 use csaw::core::algorithms::{BiasedRandomWalk, UnbiasedNeighborSampling};
 use csaw::core::ctps_cache::CtpsCache;
 use csaw::core::engine::{RunOptions, Sampler};
-use csaw::core::{DeltaAccess, NeighborAccess};
+use csaw::core::{CsrAccess, NeighborAccess};
 use csaw::gpu::config::DeviceConfig;
 use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, toy_graph, RmatParams};
@@ -138,7 +138,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any interleaving of edits and compactions: the overlay's
-    /// `DeltaAccess` gather is edge-multiset-identical (per vertex) to a
+    /// `CsrAccess::snapshot` gather is edge-multiset-identical (per vertex) to a
     /// CSR rebuilt from scratch, and snapshot walks are bit-identical to
     /// walks on that rebuilt CSR.
     #[test]
@@ -159,7 +159,7 @@ proptest! {
 
         let scratch = model.to_csr();
         let snap = mg.snapshot();
-        let mut access = DeltaAccess { snapshot: &snap };
+        let mut access = CsrAccess::snapshot(&snap);
         let mut stats = SimStats::new();
         prop_assert_eq!(snap.view().num_edges(), scratch.num_edges());
         for v in 0..model.n as u32 {

@@ -25,7 +25,7 @@ use csaw::gpu::alloc_count::CountingAllocator;
 use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::graph::store::write_store;
-use csaw::graph::{Csr, DiskStore, VertexId};
+use csaw::graph::{Csr, DiskStore, EdgeEdit, MutableGraph, VertexId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -296,8 +296,27 @@ fn steady_state_step_allocates_nothing() {
     // Power-law graph large enough to exercise long adjacency gathers
     // and without-replacement retries, small enough for a test.
     let g = rmat(9, 8, RmatParams::MILD, 42);
-    gate_all(&g, &mut CsrAccess { graph: &g }, "csr");
-    gate_batched(&g, &mut CsrAccess { graph: &g });
+    gate_all(&g, &mut CsrAccess::new(&g), "csr");
+    gate_batched(&g, &mut CsrAccess::new(&g));
+
+    // The same gate over an epoch snapshot with a live overlay: mutated
+    // vertices read their merged delta slices and tag cache entries with
+    // their mutation version, untouched ones read the base CSR.
+    let n = g.num_vertices() as VertexId;
+    let mut mg = MutableGraph::new(g.clone());
+    let mut edits: Vec<EdgeEdit> = (0..32)
+        .map(|i| EdgeEdit::Insert { src: (i * 7) % n, dst: (i * 13 + 5) % n, weight: 1.0 })
+        .collect();
+    edits.extend(
+        (0..n)
+            .step_by(37)
+            .filter_map(|v| g.neighbors(v).first().map(|&dst| EdgeEdit::Delete { src: v, dst })),
+    );
+    mg.apply_batch(&edits).expect("valid edits");
+    let snap = mg.snapshot();
+    assert!(snap.overlay_vertices() > 0, "the snapshot must carry a live overlay");
+    gate_all(&g, &mut CsrAccess::snapshot(&snap), "snapshot");
+    gate_batched(&g, &mut CsrAccess::snapshot(&snap));
 
     // The same gate through the disk tier: with every partition
     // admitted to a warm full-budget pool, stepping through

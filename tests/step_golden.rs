@@ -182,7 +182,7 @@ mod shared_scratch {
         ) {
             let cfg = *kernel.cfg();
             let detector = kernel.select().detector;
-            let mut access = CsrAccess { graph: g };
+            let mut access = CsrAccess::new(g);
             std::mem::swap(&mut self.pool, &mut self.frontier);
             self.pool.clear();
             self.trials.reset();
